@@ -15,6 +15,7 @@ var requestServing = map[string]bool{
 	"vizndp/internal/rpc":        true,
 	"vizndp/internal/objstore":   true,
 	"vizndp/internal/arraycache": true,
+	"vizndp/internal/lru":        true,
 	"vizndp/internal/telemetry":  true,
 	"vizndp/internal/vtkio":      true,
 	"vizndp/internal/compress":   true,

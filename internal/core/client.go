@@ -15,8 +15,9 @@ import (
 	"vizndp/internal/vtkio"
 )
 
-// mClientFallbacks counts degraded fetches: pre-filtered fetches that
-// failed remotely and were served by FetchRaw plus a local pre-filter.
+// mClientFallbacks counts degraded fetches: pre-filtered fetches
+// (contour or range) that failed remotely and were served by FetchRaw
+// plus a local pre-filter.
 var mClientFallbacks = telemetry.Default().Counter("core.client.fallbacks")
 
 // mClientWireCorrupt counts responses whose bytes arrived damaged: the
@@ -277,22 +278,24 @@ func (c *Client) FetchFiltered(path, array string, isovalues []float64, enc Enco
 // telemetry span in ctx makes the server's read and pre-filter spans
 // come back as part of the caller's trace.
 func (c *Client) FetchFilteredContext(ctx context.Context, path, array string, isovalues []float64, enc Encoding) (*Payload, *FetchStats, error) {
-	isos := make([]any, len(isovalues))
-	for i, v := range isovalues {
-		isos[i] = v
-	}
-	// The client-side wide event covers the whole fetch — retries,
-	// failovers, and the degraded fallback included — while the server
-	// records its own per-attempt events. The SLO monitor separates the
-	// two by kind.
-	ev := telemetry.DefaultFlightRecorder().Begin(telemetry.KindClient, MethodFetch)
+	return c.fetch(ctx, path, array, &PreFilter{Isovalues: isovalues, Encoding: enc})
+}
+
+// fetch is the one client path of every selection filter: it asks the
+// server to run f over one array and decodes the payload. The
+// client-side wide event covers the whole fetch — retries, failovers,
+// and the degraded fallback included — while the server records its own
+// per-attempt events. The SLO monitor separates the two by kind.
+func (c *Client) fetch(ctx context.Context, path, array string, f selectionFilter) (*Payload, *FetchStats, error) {
+	method, args := f.wire(path, array)
+	ev := telemetry.DefaultFlightRecorder().Begin(telemetry.KindClient, method)
 	ev.SetAttr("path", path)
 	ev.SetAttr("array", array)
 	if span := telemetry.SpanFromContext(ctx); span != nil {
 		ev.SetSpanIDs(span.Trace(), span.ID())
 	}
 	ctx = telemetry.ContextWithEvent(ctx, ev)
-	payload, st, err := c.fetchFiltered(ctx, path, array, isovalues, isos, enc, ev)
+	payload, st, err := c.fetchOrDegrade(ctx, path, array, f, method, args, ev)
 	if st != nil {
 		ev.SetBytesIn(st.PayloadBytes)
 	}
@@ -300,11 +303,11 @@ func (c *Client) FetchFilteredContext(ctx context.Context, path, array string, i
 	return payload, st, err
 }
 
-// fetchFiltered is FetchFilteredContext's body, split out so the wide
-// event wraps every return path uniformly.
-func (c *Client) fetchFiltered(ctx context.Context, path, array string, isovalues []float64, isos []any, enc Encoding, ev *telemetry.ActiveEvent) (*Payload, *FetchStats, error) {
+// fetchOrDegrade is fetch's body, split out so the wide event wraps
+// every return path uniformly.
+func (c *Client) fetchOrDegrade(ctx context.Context, path, array string, f selectionFilter, method string, args []any, ev *telemetry.ActiveEvent) (*Payload, *FetchStats, error) {
 	start := time.Now()
-	res, err := c.rpc.CallContext(ctx, MethodFetch, path, array, isos, enc.String())
+	res, err := c.rpc.CallContext(ctx, method, args...)
 	if err == nil {
 		payload, st, derr := decodeFetchResult(res, time.Since(start))
 		// A payload that arrived damaged (wire CRC mismatch) is worth one
@@ -317,7 +320,7 @@ func (c *Client) fetchFiltered(ctx context.Context, path, array string, isovalue
 	} else if !c.fallback || ctx.Err() != nil {
 		return nil, nil, err
 	}
-	payload, st, ferr := c.fetchFilteredFallback(ctx, path, array, isovalues, enc, start)
+	payload, st, ferr := c.fetchFallback(ctx, path, array, f, start)
 	if ferr != nil {
 		// The degraded path failed too; the original error names the
 		// root cause, the fallback error says why degradation could
@@ -326,17 +329,17 @@ func (c *Client) fetchFiltered(ctx context.Context, path, array string, isovalue
 	}
 	ev.MarkDegraded()
 	clientLog.Warn("pre-filtered fetch degraded to raw transfer",
-		"path", path, "array", array, "err", err)
+		"method", method, "path", path, "array", array, "err", err)
 	return payload, st, nil
 }
 
-// fetchFilteredFallback is the graceful-degradation path: pull the whole
-// raw array and run the pre-filter locally. The produced payload is
+// fetchFallback is the graceful-degradation path: pull the whole raw
+// array and run the pre-filter locally. The produced payload is
 // bit-identical to what the storage-side pre-filter would have sent —
-// both sides run the same PreFilter over the same decoded float32
-// values — so downstream contours cannot tell the difference; only the
-// transfer cost (and FetchStats.Degraded) changes.
-func (c *Client) fetchFilteredFallback(ctx context.Context, path, array string, isovalues []float64, enc Encoding, start time.Time) (*Payload, *FetchStats, error) {
+// both sides run the same filter over the same decoded float32 values —
+// so downstream filters cannot tell the difference; only the transfer
+// cost (and FetchStats.Degraded) changes.
+func (c *Client) fetchFallback(ctx context.Context, path, array string, f selectionFilter, start time.Time) (*Payload, *FetchStats, error) {
 	_, span := telemetry.StartSpan(ctx, "fallback.prefilter")
 	defer span.End()
 	span.SetAttr("path", path)
@@ -357,8 +360,7 @@ func (c *Client) fetchFilteredFallback(ctx context.Context, path, array string, 
 		return nil, nil, fmt.Errorf("raw array %q has %d values, grid has %d points",
 			array, len(vals), desc.Grid.NumPoints())
 	}
-	pre := &PreFilter{Isovalues: isovalues, Encoding: enc}
-	payload, pst, err := pre.Run(desc.Grid, &grid.Field{Name: array, Values: vals})
+	payload, pst, err := runFilter(f, desc.Grid, &grid.Field{Name: array, Values: vals})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -452,14 +454,12 @@ func (c *Client) FetchRange(path, array string, lo, hi float64, enc Encoding) (*
 	return c.FetchRangeContext(context.Background(), path, array, lo, hi, enc)
 }
 
-// FetchRangeContext is FetchRange under a caller context.
+// FetchRangeContext is FetchRange under a caller context; like
+// FetchFilteredContext it records a client wide event and, on a
+// fault-tolerant client, degrades to a raw fetch plus a local
+// RangePreFilter pass.
 func (c *Client) FetchRangeContext(ctx context.Context, path, array string, lo, hi float64, enc Encoding) (*Payload, *FetchStats, error) {
-	start := time.Now()
-	res, err := c.rpc.CallContext(ctx, MethodFetchRange, path, array, lo, hi, enc.String())
-	if err != nil {
-		return nil, nil, err
-	}
-	return decodeFetchResult(res, time.Since(start))
+	return c.fetch(ctx, path, array, &RangePreFilter{Lo: lo, Hi: hi, Encoding: enc})
 }
 
 // FetchSlice asks the server to extract the plane axis=index from one

@@ -156,21 +156,28 @@ func TestInvalidatePathEvictsResidentEntries(t *testing.T) {
 	dir := t.TempDir()
 	abs, rel := writeChecksummedFile(t, dir, ds)
 
-	srv, addr := startServer(t, dir, WithCacheBytes(16<<20))
+	srv, addr := startServer(t, dir, WithCacheBytes(16<<20), WithPayloadCacheBytes(16<<20))
 	c, err := Dial(addr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	// Warm the cache from the clean file, then corrupt the file on disk:
-	// the next MISS (forced by the changed version) detects corruption
-	// and must also evict the stale resident entry for the path.
+	// Warm the array cache and the payload cache (a contour and a range
+	// payload) from the clean file, then corrupt the file on disk: the
+	// next MISS (forced by the changed version) detects corruption and
+	// must also evict every stale resident entry for the path.
 	if _, _, err := c.FetchFiltered(rel, f.Name, []float64{5}, EncIndexValue); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.FetchRange(rel, f.Name, 4, 6, EncIndexValue); err != nil {
 		t.Fatal(err)
 	}
 	if n := srv.Cache().Len(); n != 1 {
 		t.Fatalf("cache holds %d entries, want 1", n)
+	}
+	if n := srv.payloads.Len(); n != 2 {
+		t.Fatalf("payload cache holds %d entries, want 2", n)
 	}
 	flipByteInArray(t, abs, f.Name)
 	if _, _, err := c.FetchFiltered(rel, f.Name, []float64{5}, EncIndexValue); !errors.Is(err, rpc.ErrCorrupt) {
@@ -178,6 +185,9 @@ func TestInvalidatePathEvictsResidentEntries(t *testing.T) {
 	}
 	if n := srv.Cache().Len(); n != 0 {
 		t.Fatalf("cache holds %d entries after corruption detected, want 0", n)
+	}
+	if n := srv.payloads.Len(); n != 0 {
+		t.Fatalf("payload cache holds %d entries (the range payload among them) after corruption detected, want 0", n)
 	}
 }
 

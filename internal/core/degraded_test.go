@@ -45,60 +45,71 @@ func (f *flakyCaller) count(method string) int {
 func TestDegradedFallbackBitIdentical(t *testing.T) {
 	for _, codec := range []compress.Kind{compress.None, compress.LZ4} {
 		client, ds := startNDP(t, codec)
-		isos := []float64{7}
+		for _, f := range []selectionFilter{
+			&PreFilter{Isovalues: []float64{7}},
+			&RangePreFilter{Lo: 6, Hi: 8},
+		} {
+			want, wantStats, err := remoteRun(client, f)
+			if err != nil {
+				t.Fatalf("%v %T: healthy fetch: %v", codec, f, err)
+			}
 
-		want, wantStats, err := client.FetchFiltered("run/ts0.vnd", "d", isos, EncAuto)
-		if err != nil {
-			t.Fatalf("%v: healthy fetch: %v", codec, err)
-		}
+			fallbacks := telemetry.Default().Counter("core.client.fallbacks")
+			before := fallbacks.Value()
+			method, _ := f.wire("", "")
+			broken := &Client{
+				rpc: &flakyCaller{
+					inner: client.rpc,
+					fail:  map[string]error{method: errors.New("injected transport failure")},
+				},
+				fallback: true,
+			}
+			got, st, err := remoteRun(broken, f)
+			if err != nil {
+				t.Fatalf("%v %T: degraded fetch: %v", codec, f, err)
+			}
+			if string(got.Data) != string(want.Data) {
+				t.Fatalf("%v %T: degraded payload differs from the remote pre-filter's", codec, f)
+			}
+			if string(got.Data) != string(localRun(t, ds, f)) {
+				t.Fatalf("%v %T: degraded payload differs from the local Run", codec, f)
+			}
+			if got.Encoding != want.Encoding || got.Count != want.Count {
+				t.Errorf("%v %T: payload shape differs: %v/%d vs %v/%d",
+					codec, f, got.Encoding, got.Count, want.Encoding, want.Count)
+			}
+			if !st.Degraded {
+				t.Errorf("%v %T: stats not marked Degraded", codec, f)
+			}
+			if wantStats.Degraded {
+				t.Errorf("%v %T: healthy fetch marked Degraded", codec, f)
+			}
+			// The degraded transfer moved the whole raw array.
+			if wantRaw := int64(4 * ds.Grid.NumPoints()); st.PayloadBytes != wantRaw {
+				t.Errorf("%v %T: degraded PayloadBytes = %d, want raw size %d",
+					codec, f, st.PayloadBytes, wantRaw)
+			}
+			if d := fallbacks.Value() - before; d != 1 {
+				t.Errorf("%v %T: fallbacks counter moved by %d, want 1", codec, f, d)
+			}
 
-		fallbacks := telemetry.Default().Counter("core.client.fallbacks")
-		before := fallbacks.Value()
-		broken := &Client{
-			rpc: &flakyCaller{
-				inner: client.rpc,
-				fail:  map[string]error{MethodFetch: errors.New("injected transport failure")},
-			},
-			fallback: true,
-		}
-		got, st, err := broken.FetchFiltered("run/ts0.vnd", "d", isos, EncAuto)
-		if err != nil {
-			t.Fatalf("%v: degraded fetch: %v", codec, err)
-		}
-		if string(got.Data) != string(want.Data) {
-			t.Fatalf("%v: degraded payload differs from the remote pre-filter's", codec)
-		}
-		if got.Encoding != want.Encoding || got.Count != want.Count {
-			t.Errorf("%v: payload shape differs: %v/%d vs %v/%d",
-				codec, got.Encoding, got.Count, want.Encoding, want.Count)
-		}
-		if !st.Degraded {
-			t.Errorf("%v: stats not marked Degraded", codec)
-		}
-		if wantStats.Degraded {
-			t.Errorf("%v: healthy fetch marked Degraded", codec)
-		}
-		// The degraded transfer moved the whole raw array.
-		if wantRaw := int64(4 * ds.Grid.NumPoints()); st.PayloadBytes != wantRaw {
-			t.Errorf("%v: degraded PayloadBytes = %d, want raw size %d",
-				codec, st.PayloadBytes, wantRaw)
-		}
-		if d := fallbacks.Value() - before; d != 1 {
-			t.Errorf("%v: fallbacks counter moved by %d, want 1", codec, d)
-		}
-
-		// And the meshes are therefore identical too.
-		post := &PostFilter{Isovalues: isos}
-		wantMesh, err := post.Contour(ds.Grid, "d", want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotMesh, err := post.Contour(ds.Grid, "d", got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !wantMesh.Equal(gotMesh) {
-			t.Errorf("%v: degraded mesh differs", codec)
+			// And the meshes are therefore identical too.
+			pre, ok := f.(*PreFilter)
+			if !ok {
+				continue
+			}
+			post := &PostFilter{Isovalues: pre.Isovalues}
+			wantMesh, err := post.Contour(ds.Grid, "d", want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotMesh, err := post.Contour(ds.Grid, "d", got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !wantMesh.Equal(gotMesh) {
+				t.Errorf("%v: degraded mesh differs", codec)
+			}
 		}
 	}
 }

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"strconv"
 	"time"
 
+	"vizndp/internal/bitset"
 	"vizndp/internal/contour"
 	"vizndp/internal/grid"
 )
@@ -52,18 +56,42 @@ func (s *PreFilterStats) Reduction() float64 {
 	return float64(s.RawBytes) / float64(s.PayloadBytes)
 }
 
-// Run selects and encodes the subset of field needed to contour it at
-// the configured isovalues.
-func (f *PreFilter) Run(g *grid.Uniform, field *grid.Field) (*Payload, *PreFilterStats, error) {
-	if len(f.Isovalues) == 0 {
-		return nil, nil, fmt.Errorf("core: pre-filter has no isovalues")
-	}
+// selectionFilter is the storage-side half of a split filter: a
+// selection of the mesh points the client-side half needs. PreFilter
+// and RangePreFilter are its implementations; the client fetch, the
+// server handler, the coalescer, the payload cache and the degraded
+// fallback serve every filter through it.
+type selectionFilter interface {
+	// wire returns the RPC method and arguments that ask a server to run
+	// the filter over one array: (path, array, the filter's own
+	// arguments, the encoding name).
+	wire(path, array string) (method string, args []any)
+	// key folds the filter into a string by exact float bit pattern:
+	// two filters share a key exactly when they select the same points
+	// and encode them the same way, i.e. produce identical payloads.
+	key() string
+	encoding() Encoding
+	// selectMask runs the filter's own selection scan.
+	selectMask(g *grid.Uniform, field *grid.Field) (*bitset.Bitset, error)
+	// passes is how many single-isovalue or single-range scan passes
+	// selectMask performs, for core.scan.passes.
+	passes() int
+}
+
+// runFilter is every pre-filter's Run: select, then encode.
+func runFilter(f selectionFilter, g *grid.Uniform, field *grid.Field) (*Payload, *PreFilterStats, error) {
 	start := time.Now()
-	mask, err := contour.SelectCellCorners(g, field.Values, f.Isovalues)
+	mask, err := f.selectMask(g, field)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: pre-filter %q: %w", field.Name, err)
+		return nil, nil, err
 	}
-	payload, err := EncodeSelection(mask, field.Values, f.Encoding)
+	return encodeFiltered(mask, field, f.encoding(), start)
+}
+
+// encodeFiltered encodes field's values under mask and accounts the
+// result; FilterTime runs from start.
+func encodeFiltered(mask *bitset.Bitset, field *grid.Field, enc Encoding, start time.Time) (*Payload, *PreFilterStats, error) {
+	payload, err := EncodeSelection(mask, field.Values, enc)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -76,6 +104,51 @@ func (f *PreFilter) Run(g *grid.Uniform, field *grid.Field) (*Payload, *PreFilte
 	}
 	return payload, stats, nil
 }
+
+// bitsKey folds float values into a key string by bit pattern, not by
+// formatted decimal: 0.1 and the nearest float to 0.1 share a key only
+// when they are the same float.
+func bitsKey(vals ...float64) string {
+	b := make([]byte, 0, 17*len(vals))
+	for _, v := range vals {
+		b = strconv.AppendUint(b, math.Float64bits(v), 16)
+		b = append(b, ',')
+	}
+	return string(b)
+}
+
+// Run selects and encodes the subset of field needed to contour it at
+// the configured isovalues.
+func (f *PreFilter) Run(g *grid.Uniform, field *grid.Field) (*Payload, *PreFilterStats, error) {
+	return runFilter(f, g, field)
+}
+
+func (f *PreFilter) wire(path, array string) (string, []any) {
+	isos := make([]any, len(f.Isovalues))
+	for i, v := range f.Isovalues {
+		isos[i] = v
+	}
+	return MethodFetch, []any{path, array, isos, f.Encoding.String()}
+}
+
+func (f *PreFilter) key() string { return "iso:" + f.Encoding.String() + ":" + bitsKey(f.Isovalues...) }
+
+func (f *PreFilter) encoding() Encoding { return f.Encoding }
+
+func (f *PreFilter) passes() int { return len(f.Isovalues) }
+
+func (f *PreFilter) selectMask(g *grid.Uniform, field *grid.Field) (*bitset.Bitset, error) {
+	if len(f.Isovalues) == 0 {
+		return nil, errNoIsovalues
+	}
+	mask, err := contour.SelectCellCorners(g, field.Values, f.Isovalues)
+	if err != nil {
+		return nil, fmt.Errorf("core: pre-filter %q: %w", field.Name, err)
+	}
+	return mask, nil
+}
+
+var errNoIsovalues = errors.New("core: pre-filter has no isovalues")
 
 // PostFilter is the client-side half: it reconstructs the sparse array
 // and completes contour generation. Its isovalues must match the
@@ -117,23 +190,27 @@ type RangePreFilter struct {
 
 // Run selects and encodes the subset of field the threshold needs.
 func (f *RangePreFilter) Run(g *grid.Uniform, field *grid.Field) (*Payload, *PreFilterStats, error) {
-	start := time.Now()
+	return runFilter(f, g, field)
+}
+
+func (f *RangePreFilter) wire(path, array string) (string, []any) {
+	return MethodFetchRange, []any{path, array, f.Lo, f.Hi, f.Encoding.String()}
+}
+
+func (f *RangePreFilter) key() string {
+	return "range:" + f.Encoding.String() + ":" + bitsKey(f.Lo, f.Hi)
+}
+
+func (f *RangePreFilter) encoding() Encoding { return f.Encoding }
+
+func (f *RangePreFilter) passes() int { return 1 }
+
+func (f *RangePreFilter) selectMask(g *grid.Uniform, field *grid.Field) (*bitset.Bitset, error) {
 	mask, err := contour.SelectRangeCorners(g, field.Values, f.Lo, f.Hi)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: range pre-filter %q: %w", field.Name, err)
+		return nil, fmt.Errorf("core: range pre-filter %q: %w", field.Name, err)
 	}
-	payload, err := EncodeSelection(mask, field.Values, f.Encoding)
-	if err != nil {
-		return nil, nil, err
-	}
-	stats := &PreFilterStats{
-		NumPoints:      field.Len(),
-		SelectedPoints: payload.Count,
-		RawBytes:       int64(4 * field.Len()),
-		PayloadBytes:   int64(payload.WireSize()),
-		FilterTime:     time.Since(start),
-	}
-	return payload, stats, nil
+	return mask, nil
 }
 
 // ThresholdFromPayload reconstructs a payload and evaluates the threshold

@@ -13,6 +13,7 @@ import (
 	"vizndp/internal/arraycache"
 	"vizndp/internal/contour"
 	"vizndp/internal/grid"
+	"vizndp/internal/lru"
 	"vizndp/internal/rpc"
 	"vizndp/internal/telemetry"
 	"vizndp/internal/vtkio"
@@ -51,15 +52,14 @@ const (
 // on the storage node is an s3fs mount colocated with the object store)
 // and a pre-filter. Clients drive it over msgpack-rpc.
 type Server struct {
-	fsys         fs.FS
-	rpc          *rpc.Server
-	cache        *arraycache.Cache
-	scans        *scanShare
-	scrub        *Scrubber
-	coalesceWin  time.Duration
-	payloadBytes int64
-	rpcOpts      []rpc.ServerOption
-	shardName    string
+	fsys      fs.FS
+	rpc       *rpc.Server
+	cache     *arraycache.Cache
+	payloads  *payloadCache // nil when off
+	coalesce  *coalescer    // nil when off
+	scrub     *Scrubber
+	rpcOpts   []rpc.ServerOption
+	shardName string
 }
 
 // ServerOption customizes a Server.
@@ -73,27 +73,28 @@ func WithCacheBytes(maxBytes int64) ServerOption {
 	return func(s *Server) { s.cache = arraycache.New(maxBytes) }
 }
 
-// WithCoalesce batches concurrent pre-filter fetches of the same array
-// into one shared multi-isovalue scan: the first request leads, loads
+// WithCoalesce batches concurrent pre-filter fetches (contour and range)
+// of the same array into one shared scan: the first request leads, loads
 // the array, lingers for window while concurrent arrivals pile on, then
-// scans once per unique isovalue and splits a bit-identical payload out
-// for each member. window <= 0 uses DefaultCoalesceWindow.
+// scans once per unique isovalue and once per unique range and splits a
+// bit-identical payload out for each member. window <= 0 uses
+// DefaultCoalesceWindow.
 func WithCoalesce(window time.Duration) ServerOption {
 	return func(s *Server) {
 		if window <= 0 {
 			window = DefaultCoalesceWindow
 		}
-		s.coalesceWin = window
+		s.coalesce = &coalescer{window: window, batches: make(map[arraycache.Key]*scanBatch)}
 	}
 }
 
 // WithPayloadCacheBytes bounds a storage-side cache of encoded pre-filter
 // payloads to maxBytes: an identical repeat request — same array version,
-// isovalues, and encoding — skips the read AND the scan. Composes with
-// WithCoalesce; alone it enables the cache without batching.
-// maxBytes <= 0 disables the cache (the default).
+// filter (isovalues or range), and encoding — skips the read AND the
+// scan. Composes with WithCoalesce; alone it enables the cache without
+// batching. maxBytes <= 0 disables the cache (the default).
 func WithPayloadCacheBytes(maxBytes int64) ServerOption {
-	return func(s *Server) { s.payloadBytes = maxBytes }
+	return func(s *Server) { s.payloads = lru.New[payloadKey, *payloadEntry](maxBytes, payloadMetrics) }
 }
 
 // WithShardName stamps every fetch's server-side wide event with a
@@ -130,17 +131,6 @@ func NewServer(fsys fs.FS, opts ...ServerOption) *Server {
 	for _, opt := range opts {
 		opt(s)
 	}
-	if s.coalesceWin > 0 || s.payloadBytes > 0 {
-		window := s.coalesceWin
-		if window <= 0 {
-			window = -1 // payload cache without batching
-		}
-		s.scans = &scanShare{
-			window:   window,
-			payloads: newPayloadCache(s.payloadBytes),
-			batches:  make(map[batchKey]*scanBatch),
-		}
-	}
 	s.rpc = rpc.NewServer(s.rpcOpts...)
 	s.rpc.Register(MethodList, s.handleList)
 	s.rpc.Register(MethodDescribe, s.handleDescribe)
@@ -150,14 +140,6 @@ func NewServer(fsys fs.FS, opts ...ServerOption) *Server {
 	s.rpc.Register(MethodFetchRaw, s.handleFetchRaw)
 	s.rpc.Register(MethodManifest, s.handleManifest)
 	return s
-}
-
-// stampShard adds the server's shard identity to the request's wide
-// event, when one was configured.
-func (s *Server) stampShard(ctx context.Context) {
-	if s.shardName != "" {
-		telemetry.EventFromContext(ctx).SetAttr("shard", s.shardName)
-	}
 }
 
 // Cache exposes the array cache (nil when disabled) for tests and
@@ -395,10 +377,7 @@ func corruptionError(err error) bool {
 // one read has forfeited trust in cheaper copies of the same object.
 func (s *Server) failCorrupt(ctx context.Context, path string, err error) error {
 	mFetchCorrupt.Inc()
-	dropped := s.cache.InvalidatePath(path)
-	if s.scans != nil {
-		dropped += s.scans.payloads.invalidatePath(path)
-	}
+	dropped := s.cache.InvalidatePath(path) + s.payloads.InvalidatePath(path)
 	ev := telemetry.EventFromContext(ctx)
 	ev.SetAttr("corrupt", path)
 	ev.SetAttr("corruptEvicted", dropped)
@@ -434,50 +413,13 @@ func (s *Server) readArrayOnce(path, array string) (*arraycache.Entry, error) {
 	return &arraycache.Entry{Grid: r.Grid(), Field: field}, nil
 }
 
-// loadArray resolves (path, array) through the cache when configured.
-// Without a cache every call reads storage; with one, concurrent
-// requests single-flight onto one read and repeats are served resident.
-// The lookup outcome is stamped onto the request's wide event via ctx.
-func (s *Server) loadArray(ctx context.Context, path, array string) (*arraycache.Entry, arraycache.Outcome, error) {
-	if err := s.quarantined(path); err != nil {
-		return nil, arraycache.Miss, err
-	}
-	entry, outcome, err := s.loadArrayInner(ctx, path, array)
-	if err != nil && corruptionError(err) {
-		// The failed load was never cached (GetOrLoad caches only on
-		// success, and every coalesced waiter receives this same error);
-		// invalidation covers entries decoded from earlier, clean reads.
-		err = s.failCorrupt(ctx, path, err)
-	}
-	return entry, outcome, err
-}
-
-func (s *Server) loadArrayInner(ctx context.Context, path, array string) (*arraycache.Entry, arraycache.Outcome, error) {
-	if s.cache == nil {
-		e, err := s.readArrayOnce(path, array)
-		telemetry.EventFromContext(ctx).SetCache(arraycache.Miss.String())
-		return e, arraycache.Miss, err
-	}
-	ver, err := s.fileVersion(path)
-	if err != nil {
-		return nil, arraycache.Miss, err
-	}
-	key := arraycache.Key{Path: path, Array: array, Version: ver}
-	return s.cache.GetOrLoadContext(ctx, key, func() (*arraycache.Entry, error) {
-		return s.readArrayOnce(path, array)
-	})
-}
-
 // readArrayTimed reads one array under a "read" span, reporting the
 // storage read (+ decompression) time. On a cache hit the elapsed time
 // is the in-memory lookup — effectively zero — so the readns a client
-// sees stays an honest account of storage work actually performed.
-func (s *Server) readArrayTimed(ctx context.Context, path, array string) (*grid.Uniform, *grid.Field, time.Duration, error) {
-	// An abandoned request — caller deadline expired, connection gone —
-	// stops here instead of paying for the storage read.
-	if err := ctx.Err(); err != nil {
-		return nil, nil, 0, err
-	}
+// sees stays an honest account of storage work actually performed. The
+// lookup outcome is stamped onto the request's wide event.
+func (s *Server) readArrayTimed(ctx context.Context, key arraycache.Key) (*grid.Uniform, *grid.Field, time.Duration, error) {
+	path, array := key.Path, key.Array
 	_, span := telemetry.StartSpan(ctx, "read")
 	defer span.End()
 	span.SetAttr("path", path)
@@ -486,13 +428,26 @@ func (s *Server) readArrayTimed(ctx context.Context, path, array string) (*grid.
 	ev.SetAttr("path", path)
 	ev.SetAttr("array", array)
 	start := time.Now()
-	entry, outcome, err := s.loadArray(ctx, path, array)
+	// Without a cache every call reads storage; with one, concurrent
+	// requests single-flight onto one read and repeats are served
+	// resident.
+	entry, outcome, err := s.cache.GetOrLoad(key, func() (*arraycache.Entry, error) {
+		return s.readArrayOnce(path, array)
+	})
 	if err != nil {
+		if corruptionError(err) {
+			// The failed load was never cached (GetOrLoad caches only on
+			// success, and every coalesced waiter receives this same
+			// error); invalidation covers entries decoded from earlier,
+			// clean reads.
+			err = s.failCorrupt(ctx, path, err)
+		}
 		span.SetAttr("error", err.Error())
 		return nil, nil, 0, err
 	}
 	readTime := time.Since(start)
 	span.SetAttr("cache", outcome.String())
+	ev.SetCache(outcome.String())
 	if outcome == arraycache.Miss {
 		// Only actual storage reads feed the read-time histogram; hits
 		// and coalesced waits would skew it toward zero / double-count.
@@ -502,12 +457,16 @@ func (s *Server) readArrayTimed(ctx context.Context, path, array string) (*grid.
 }
 
 // recordFetch reports one pre-filtered fetch to the metrics registry.
-func recordFetch(path, array string, st *PreFilterStats) {
+// scanned is false for a payload served from the payload cache: no scan
+// or encode ran, so its zero filter time must not reach the histogram.
+func recordFetch(path, array string, st *PreFilterStats, scanned bool) {
 	mFetchCount.Inc()
 	mFetchRawBytes.Add(st.RawBytes)
 	mFetchPayload.Add(st.PayloadBytes)
 	mFetchSelected.Add(int64(st.SelectedPoints))
-	mFetchFiltSecs.Observe(st.FilterTime.Seconds())
+	if scanned {
+		mFetchFiltSecs.Observe(st.FilterTime.Seconds())
+	}
 	mFetchSelectPPM.Set(int64(st.Selectivity() * 1e6))
 	serverLog.Debug("pre-filtered fetch",
 		"path", path, "array", array,
@@ -517,81 +476,140 @@ func recordFetch(path, array string, st *PreFilterStats) {
 		"filterTime", st.FilterTime)
 }
 
-// handleFetch runs the storage-side partial pipeline: read the array
-// (decompressing if stored compressed), run the pre-filter, and return
-// the encoded payload together with timing breakdowns.
-func (s *Server) handleFetch(ctx context.Context, args []any) (any, error) {
-	path, err := argString(args, 0, "path")
-	if err != nil {
-		return nil, err
+// pathArrayArgs decodes the (path, array) pair every fetch names first.
+func pathArrayArgs(args []any) (path, array string, err error) {
+	if path, err = argString(args, 0, "path"); err != nil {
+		return "", "", err
 	}
-	array, err := argString(args, 1, "array")
-	if err != nil {
-		return nil, err
+	if array, err = argString(args, 1, "array"); err != nil {
+		return "", "", err
 	}
-	if len(args) < 3 {
-		return nil, fmt.Errorf("core: missing isovalues argument")
-	}
-	rawIsos, ok := args[2].([]any)
-	if !ok {
-		return nil, fmt.Errorf("core: isovalues argument is %T, want array", args[2])
-	}
-	isovalues := make([]float64, len(rawIsos))
-	for i, v := range rawIsos {
-		f, ok := asFloat(v)
-		if !ok {
-			return nil, fmt.Errorf("core: isovalue %d is %T, want number", i, v)
-		}
-		isovalues[i] = f
-	}
-	encName := ""
-	if len(args) > 3 {
-		if encName, err = argString(args, 3, "encoding"); err != nil {
-			return nil, err
-		}
-	}
-	enc, err := ParseEncoding(encName)
-	if err != nil {
-		return nil, err
-	}
-	s.stampShard(ctx)
-	mScanRequests.Inc()
+	return path, array, nil
+}
 
-	var (
-		payload  *Payload
-		stats    *PreFilterStats
-		readTime time.Duration
-	)
-	if s.scans != nil {
-		payload, stats, readTime, err = s.fetchShared(ctx, path, array, isovalues, enc)
+// startFetch is the prelude every fetch shares once its arguments
+// parse. An abandoned request (caller deadline expired, connection
+// gone) or a quarantined path stops here, before any read, and the
+// request's wide event gets the shard stamp. When a cache or the
+// coalescer is configured, the file is stat'd once for the version
+// that the array cache, the payload cache and the batch all key on.
+func (s *Server) startFetch(ctx context.Context, path, array string) (arraycache.Key, error) {
+	key := arraycache.Key{Path: path, Array: array}
+	if err := ctx.Err(); err != nil {
+		return key, err
+	}
+	if err := s.quarantined(path); err != nil {
+		return key, err
+	}
+	if s.shardName != "" {
+		telemetry.EventFromContext(ctx).SetAttr("shard", s.shardName)
+	}
+	if s.cache == nil && s.payloads == nil && s.coalesce == nil {
+		return key, nil
+	}
+	var err error
+	if key.Version, err = s.fileVersion(path); err != nil && corruptionError(err) {
+		err = s.failCorrupt(ctx, path, err)
+	}
+	return key, err
+}
+
+// parseFilter decodes the arguments of a selection-filter fetch, the
+// one parser behind both wire names: (path, array, isovalues
+// [, encoding]) for ndp.fetch and (path, array, lo, hi [, encoding])
+// for ndp.fetchrange.
+func parseFilter(method string, args []any) (path, array string, f selectionFilter, err error) {
+	if path, array, err = pathArrayArgs(args); err != nil {
+		return "", "", nil, err
+	}
+	args = args[2:]
+	switch method {
+	case MethodFetch:
+		if len(args) < 1 {
+			return "", "", nil, fmt.Errorf("core: missing isovalues argument")
+		}
+		raw, ok := args[0].([]any)
+		if !ok {
+			return "", "", nil, fmt.Errorf("core: isovalues argument is %T, want array", args[0])
+		}
+		isovalues := make([]float64, len(raw))
+		for i, v := range raw {
+			if isovalues[i], ok = asFloat(v); !ok {
+				return "", "", nil, fmt.Errorf("core: isovalue %d is %T, want number", i, v)
+			}
+		}
+		enc, err := argEncoding(args, 1)
 		if err != nil {
-			mFetchErrors.Inc()
-			return nil, err
+			return "", "", nil, err
 		}
-	} else {
-		var g *grid.Uniform
-		var field *grid.Field
-		g, field, readTime, err = s.readArrayTimed(ctx, path, array)
+		return path, array, &PreFilter{Isovalues: isovalues, Encoding: enc}, nil
+	case MethodFetchRange:
+		if len(args) < 2 {
+			return "", "", nil, fmt.Errorf("core: fetchrange needs lo and hi arguments")
+		}
+		lo, err := argFloat(args, 0, "lo")
 		if err != nil {
-			mFetchErrors.Inc()
-			return nil, err
+			return "", "", nil, err
 		}
-		// Observe cancellation between the pipeline stages: the read may
-		// have taken the whole remaining deadline, and the pre-filter scan
-		// is the expensive half.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		payload, stats, err = s.runPreFilter(ctx, g, field, array, isovalues, enc)
+		hi, err := argFloat(args, 1, "hi")
 		if err != nil {
-			mFetchErrors.Inc()
-			return nil, err
+			return "", "", nil, err
 		}
+		enc, err := argEncoding(args, 2)
+		if err != nil {
+			return "", "", nil, err
+		}
+		return path, array, &RangePreFilter{Lo: lo, Hi: hi, Encoding: enc}, nil
+	}
+	return "", "", nil, fmt.Errorf("core: %s is not a selection-filter method", method)
+}
+
+// argEncoding decodes the optional payload encoding name at args[i].
+func argEncoding(args []any, i int) (Encoding, error) {
+	if i >= len(args) {
+		return EncAuto, nil
+	}
+	name, err := argString(args, i, "encoding")
+	if err != nil {
+		return EncAuto, err
+	}
+	return ParseEncoding(name)
+}
+
+// handleFetch serves ndp.fetch, the split contour filter's storage half.
+func (s *Server) handleFetch(ctx context.Context, args []any) (any, error) {
+	return s.serveFilter(ctx, MethodFetch, args)
+}
+
+// handleFetchRange serves ndp.fetchrange, the split threshold filter's
+// storage half: every corner of every cell with a value in [lo, hi].
+func (s *Server) handleFetchRange(ctx context.Context, args []any) (any, error) {
+	return s.serveFilter(ctx, MethodFetchRange, args)
+}
+
+// serveFilter is the one handler body of every selection filter: parse,
+// produce the payload through Server.filter (payload cache, coalesced
+// batch or dedicated scan), and return it with its timing breakdown.
+func (s *Server) serveFilter(ctx context.Context, method string, args []any) (any, error) {
+	path, array, f, err := parseFilter(method, args)
+	if err != nil {
+		return nil, err
+	}
+	mScanRequests.Inc()
+	key, err := s.startFetch(ctx, path, array)
+	if err != nil {
+		mFetchErrors.Inc()
+		return nil, err
+	}
+	payload, stats, readTime, scanned, err := s.filter(ctx, key, f)
+	if err != nil {
+		mFetchErrors.Inc()
+		return nil, err
 	}
 	ev := telemetry.EventFromContext(ctx)
 	ev.SetAttr("selected", stats.SelectedPoints)
 	ev.SetAttr("payloadBytes", stats.PayloadBytes)
-	recordFetch(path, array, stats)
+	recordFetch(path, array, stats, scanned)
 	return map[string]any{
 		"payload":  payload.Data,
 		"readns":   int64(readTime),
@@ -604,101 +622,11 @@ func (s *Server) handleFetch(ctx context.Context, args []any) (any, error) {
 	}, nil
 }
 
-// runPreFilter runs one dedicated (uncoalesced) contour pre-filter under
-// a "prefilter" span and counts its scan passes.
-func (s *Server) runPreFilter(ctx context.Context, g *grid.Uniform, field *grid.Field, array string, isovalues []float64, enc Encoding) (*Payload, *PreFilterStats, error) {
-	_, fspan := telemetry.StartSpan(ctx, "prefilter")
-	defer fspan.End()
-	pre := &PreFilter{Isovalues: isovalues, Encoding: enc}
-	payload, stats, err := pre.Run(g, field)
-	if err != nil {
-		fspan.SetAttr("error", err.Error())
-		return nil, nil, err
-	}
-	mScanPasses.Add(int64(len(isovalues)))
-	fspan.SetAttr("array", array)
-	fspan.SetAttr("selected", stats.SelectedPoints)
-	fspan.SetAttr("payloadBytes", stats.PayloadBytes)
-	fspan.SetAttr("encoding", payload.Encoding.String())
-	return payload, stats, nil
-}
-
-// handleFetchRange runs the split threshold filter's storage half: read
-// the array and select every cell corner with a value in [lo, hi].
-func (s *Server) handleFetchRange(ctx context.Context, args []any) (any, error) {
-	path, err := argString(args, 0, "path")
-	if err != nil {
-		return nil, err
-	}
-	array, err := argString(args, 1, "array")
-	if err != nil {
-		return nil, err
-	}
-	if len(args) < 4 {
-		return nil, fmt.Errorf("core: fetchrange needs lo and hi arguments")
-	}
-	lo, err := argFloat(args, 2, "lo")
-	if err != nil {
-		return nil, err
-	}
-	hi, err := argFloat(args, 3, "hi")
-	if err != nil {
-		return nil, err
-	}
-	encName := ""
-	if len(args) > 4 {
-		if encName, err = argString(args, 4, "encoding"); err != nil {
-			return nil, err
-		}
-	}
-	enc, err := ParseEncoding(encName)
-	if err != nil {
-		return nil, err
-	}
-	s.stampShard(ctx)
-
-	g, field, readTime, err := s.readArrayTimed(ctx, path, array)
-	if err != nil {
-		mFetchErrors.Inc()
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	_, fspan := telemetry.StartSpan(ctx, "prefilter.range")
-	pre := &RangePreFilter{Lo: lo, Hi: hi, Encoding: enc}
-	payload, stats, err := pre.Run(g, field)
-	if err != nil {
-		fspan.SetAttr("error", err.Error())
-		fspan.End()
-		mFetchErrors.Inc()
-		return nil, err
-	}
-	fspan.SetAttr("array", array)
-	fspan.SetAttr("selected", stats.SelectedPoints)
-	fspan.SetAttr("payloadBytes", stats.PayloadBytes)
-	fspan.End()
-	recordFetch(path, array, stats)
-	return map[string]any{
-		"payload":  payload.Data,
-		"readns":   int64(readTime),
-		"filterns": int64(stats.FilterTime),
-		"rawbytes": stats.RawBytes,
-		"selected": int64(stats.SelectedPoints),
-		"crc":      int64(vtkio.Checksum(payload.Data)),
-	}, nil
-}
-
 // handleFetchSlice runs the split slice filter's storage half: read the
 // array and extract exactly the requested plane, shipping it as a slice
 // payload — the near-perfect-reduction case for NDP.
 func (s *Server) handleFetchSlice(ctx context.Context, args []any) (any, error) {
-	path, err := argString(args, 0, "path")
-	if err != nil {
-		return nil, err
-	}
-	array, err := argString(args, 1, "array")
+	path, array, err := pathArrayArgs(args)
 	if err != nil {
 		return nil, err
 	}
@@ -717,8 +645,12 @@ func (s *Server) handleFetchSlice(ctx context.Context, args []any) (any, error) 
 	if !ok {
 		return nil, fmt.Errorf("core: slice index is %T, want integer", args[3])
 	}
-
-	g, field, readTime, err := s.readArrayTimed(ctx, path, array)
+	key, err := s.startFetch(ctx, path, array)
+	if err != nil {
+		mFetchErrors.Inc()
+		return nil, err
+	}
+	g, field, readTime, err := s.readArrayTimed(ctx, key)
 	if err != nil {
 		mFetchErrors.Inc()
 		return nil, err
@@ -749,7 +681,7 @@ func (s *Server) handleFetchSlice(ctx context.Context, args []any) (any, error) 
 		RawBytes:       int64(4 * field.Len()),
 		PayloadBytes:   int64(4 * len(vals)),
 		FilterTime:     filterTime,
-	})
+	}, true)
 
 	values := vtkio.FloatsToBytes(vals)
 	return map[string]any{
@@ -764,68 +696,30 @@ func (s *Server) handleFetchSlice(ctx context.Context, args []any) (any, error) 
 	}, nil
 }
 
-// handleFetchRaw returns a whole array uncut — used for debugging and for
-// measuring what the transfer would have cost without the pre-filter.
+// handleFetchRaw returns a whole array uncut — used for debugging, for
+// measuring what the transfer would have cost without the pre-filter,
+// and by the client's degraded fallback. It serves the decoded field:
+// re-serializing float32 values is a bit-exact inverse of decoding, so
+// the bytes equal the stored array's.
 func (s *Server) handleFetchRaw(ctx context.Context, args []any) (any, error) {
-	path, err := argString(args, 0, "path")
+	path, array, err := pathArrayArgs(args)
 	if err != nil {
 		return nil, err
 	}
-	array, err := argString(args, 1, "array")
+	key, err := s.startFetch(ctx, path, array)
 	if err != nil {
+		mFetchErrors.Inc()
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
+	_, field, readTime, err := s.readArrayTimed(ctx, key)
+	if err != nil {
+		mFetchErrors.Inc()
 		return nil, err
 	}
-	if err := s.quarantined(path); err != nil {
-		return nil, err
-	}
-	s.stampShard(ctx)
-	_, span := telemetry.StartSpan(ctx, "read.raw")
-	defer span.End()
-	span.SetAttr("path", path)
-	span.SetAttr("array", array)
-	readStart := time.Now()
-	var raw []byte
-	if s.cache != nil {
-		// Serve from the decoded-array cache: re-serializing float32
-		// values is a bit-exact inverse of decoding, so the payload is
-		// identical to a fresh storage read.
-		entry, outcome, err := s.loadArray(ctx, path, array)
-		if err != nil {
-			span.SetAttr("error", err.Error())
-			return nil, err
-		}
-		span.SetAttr("cache", outcome.String())
-		if outcome == arraycache.Miss {
-			mFetchReadSecs.Observe(time.Since(readStart).Seconds())
-		}
-		raw = vtkio.FloatsToBytes(entry.Field.Values)
-	} else {
-		r, closer, err := s.openReader(path)
-		if err != nil {
-			span.SetAttr("error", err.Error())
-			if corruptionError(err) {
-				return nil, s.failCorrupt(ctx, path, err)
-			}
-			return nil, err
-		}
-		defer closer.Close()
-		if raw, err = r.ReadArrayBytes(array); err != nil {
-			span.SetAttr("error", err.Error())
-			if corruptionError(err) {
-				return nil, s.failCorrupt(ctx, path, err)
-			}
-			return nil, err
-		}
-		readTime := time.Since(readStart)
-		mFetchReadSecs.Observe(readTime.Seconds())
-	}
-	span.SetAttr("bytes", len(raw))
+	raw := vtkio.FloatsToBytes(field.Values)
 	return map[string]any{
 		"data":   raw,
-		"readns": int64(time.Since(readStart)),
+		"readns": int64(readTime),
 		"crc":    int64(vtkio.Checksum(raw)),
 	}, nil
 }

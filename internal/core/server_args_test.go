@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -126,5 +127,56 @@ func TestFetchRangeAcceptsIntegerEncodedBounds(t *testing.T) {
 	}
 	if _, err := s.handleFetchRange(ctx, []any{"ts0.vnd", "d", float64(4)}); err == nil {
 		t.Error("missing hi argument accepted")
+	}
+}
+
+// TestParseFilterArgs runs both selection-filter wire names through the
+// one parser: missing, mistyped and int-encoded arguments.
+func TestParseFilterArgs(t *testing.T) {
+	cases := []struct {
+		name    string
+		method  string
+		args    []any
+		want    selectionFilter // nil when the parse must fail
+		wantErr string
+	}{
+		{"fetch: float isovalues", MethodFetch, []any{"p", "d", []any{5.5}},
+			&PreFilter{Isovalues: []float64{5.5}}, ""},
+		{"fetch: int-encoded isovalues", MethodFetch, []any{"p", "d", []any{int64(5), uint64(7), float32(6.5)}, "indexvalue"},
+			&PreFilter{Isovalues: []float64{5, 7, 6.5}, Encoding: EncIndexValue}, ""},
+		{"fetch: missing path", MethodFetch, []any{}, nil, "missing path argument"},
+		{"fetch: mistyped path", MethodFetch, []any{int64(1), "d", []any{5.0}}, nil, "path argument is int64, want string"},
+		{"fetch: missing array", MethodFetch, []any{"p"}, nil, "missing array argument"},
+		{"fetch: missing isovalues", MethodFetch, []any{"p", "d"}, nil, "missing isovalues argument"},
+		{"fetch: mistyped isovalues", MethodFetch, []any{"p", "d", 5.0}, nil, "isovalues argument is float64, want array"},
+		{"fetch: mistyped isovalue", MethodFetch, []any{"p", "d", []any{5.0, "7"}}, nil, "isovalue 1 is string, want number"},
+		{"fetch: mistyped encoding", MethodFetch, []any{"p", "d", []any{5.0}, int64(1)}, nil, "encoding argument is int64, want string"},
+		{"fetch: unknown encoding", MethodFetch, []any{"p", "d", []any{5.0}, "zip"}, nil, "unknown encoding"},
+		{"fetchrange: float bounds", MethodFetchRange, []any{"p", "d", 4.0, 8.0, "blockbitmap"},
+			&RangePreFilter{Lo: 4, Hi: 8, Encoding: EncBlockBitmap}, ""},
+		{"fetchrange: int-encoded bounds", MethodFetchRange, []any{"p", "d", int64(4), uint64(8)},
+			&RangePreFilter{Lo: 4, Hi: 8}, ""},
+		{"fetchrange: missing path", MethodFetchRange, []any{}, nil, "missing path argument"},
+		{"fetchrange: missing hi", MethodFetchRange, []any{"p", "d", 4.0}, nil, "needs lo and hi arguments"},
+		{"fetchrange: mistyped lo", MethodFetchRange, []any{"p", "d", "4", 8.0}, nil, "lo argument is string, want number"},
+		{"fetchrange: mistyped hi", MethodFetchRange, []any{"p", "d", 4.0, []any{8.0}}, nil, "hi argument is []interface {}, want number"},
+		{"fetchrange: mistyped encoding", MethodFetchRange, []any{"p", "d", 4.0, 8.0, 1.0}, nil, "encoding argument is float64, want string"},
+		{"not a filter method", MethodFetchSlice, []any{"p", "d"}, nil, "not a selection-filter method"},
+	}
+	for _, tc := range cases {
+		path, array, f, err := parseFilter(tc.method, tc.args)
+		if tc.want == nil {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("%s: err = %v, want %q", tc.name, err, tc.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if path != "p" || array != "d" || !reflect.DeepEqual(f, tc.want) {
+			t.Errorf("%s: parsed (%q, %q, %#v), want (p, d, %#v)", tc.name, path, array, f, tc.want)
+		}
 	}
 }

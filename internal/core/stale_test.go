@@ -54,7 +54,11 @@ func TestCacheZeroMtimeOverwrite(t *testing.T) {
 
 	readValue := func() float32 {
 		t.Helper()
-		_, f, _, err := srv.readArrayTimed(ctx, "run/ts0.vnd", "d")
+		key, err := srv.startFetch(ctx, "run/ts0.vnd", "d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, f, _, err := srv.readArrayTimed(ctx, key)
 		if err != nil {
 			t.Fatal(err)
 		}
