@@ -218,10 +218,18 @@ func (s *shapedConn) Write(b []byte) (int, error) {
 					mDelayNanos.Add(int64(wait))
 				}
 			}
+			// Count before writing: once the OS has the bytes the peer may
+			// read them and act on them before this goroutine runs again,
+			// and nobody may observe a reply the counters do not yet hold.
+			// A short write takes its unsent tail back out.
+			s.link.sent.Add(int64(len(chunk)))
+			mBytesSent.Add(int64(len(chunk)))
 			n, err := s.Conn.Write(chunk)
 			total += n
-			s.link.sent.Add(int64(n))
-			mBytesSent.Add(int64(n))
+			if unsent := int64(len(chunk) - n); unsent > 0 {
+				s.link.sent.Add(-unsent)
+				mBytesSent.Add(-unsent)
+			}
 			if err != nil {
 				return total, err
 			}
