@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"time"
 
 	"vizndp/internal/compress"
@@ -48,57 +47,20 @@ const integrityPrefix = "integrity/"
 //     siblings stay servable.
 func (e *Env) CorruptExperiment(array string) (*stats.Table, error) {
 	const dataset = "asteroid"
-	codec := compress.None
-
-	type fetchID struct {
-		step int
-		iso  float64
-	}
 	nFetches := len(e.steps) * len(e.Cfg.ContourValues)
 
-	// sweep fetches every (timestep, contour value) pair once.
-	sweep := func(c *core.Client) (time.Duration, map[fetchID]string, int, error) {
-		payloads := make(map[fetchID]string)
-		maxPayload := 0
-		start := time.Now()
-		for _, step := range e.steps {
-			key := ObjectKey(dataset, codec, step)
-			for _, iso := range e.Cfg.ContourValues {
-				p, _, err := c.FetchFiltered(key, array, []float64{iso}, e.Cfg.Encoding)
-				if err != nil {
-					return 0, nil, 0, fmt.Errorf("harness: step %d iso %g: %w", step, iso, err)
-				}
-				payloads[fetchID{step, iso}] = string(p.Data)
-				if w := p.WireSize(); w > maxPayload {
-					maxPayload = w
-				}
-			}
-		}
-		return time.Since(start), payloads, maxPayload, nil
-	}
-	sameAsTruth := func(got, want map[fetchID]string) error {
-		for id, p := range want {
-			if got[id] != p {
-				return fmt.Errorf("harness: corrupted payload differs at step %d iso %g", id.step, id.iso)
-			}
-		}
-		return nil
-	}
-
 	// Phase 1: clean ground truth over a dedicated, unfaulted path.
-	cleanLink := netsim.NewLink(e.Cfg.LinkBits, e.Cfg.LinkLatency)
-	cleanSrv := core.NewServer(s3fs.New(e.local, Bucket))
-	cleanLn, err := net.Listen("tcp", "127.0.0.1:0")
+	cleanNode, err := e.startNode(nil, netsim.NewLink(e.Cfg.LinkBits, e.Cfg.LinkLatency))
 	if err != nil {
 		return nil, err
 	}
-	go cleanSrv.Serve(cleanLink.Listener(cleanLn))
-	defer cleanSrv.Close()
-	clean, err := core.Dial(cleanLn.Addr().String(), cleanLink.Dial)
+	defer cleanNode.Close()
+	clean, err := cleanNode.dial()
 	if err != nil {
 		return nil, err
 	}
-	cleanTime, want, _, err := sweep(clean)
+	want := make(map[fetchID]string, nFetches)
+	cleanTime, _, err := e.sweep(clean, array, truthInto(want))
 	clean.Close()
 	if err != nil {
 		return nil, err
@@ -115,22 +77,19 @@ func (e *Env) CorruptExperiment(array string) (*stats.Table, error) {
 		Every:       2,
 		MinReadSize: 8192,
 	})
-	corrLink := netsim.NewLink(e.Cfg.LinkBits, e.Cfg.LinkLatency)
-	corrSrv := core.NewServer(cfs)
-	corrLn, err := net.Listen("tcp", "127.0.0.1:0")
+	corrNode, err := e.startNode(cfs, netsim.NewLink(e.Cfg.LinkBits, e.Cfg.LinkLatency))
 	if err != nil {
 		return nil, err
 	}
-	go corrSrv.Serve(corrLink.Listener(corrLn))
-	defer corrSrv.Close()
+	defer corrNode.Close()
 	wireFaults := &netsim.Faults{
 		Seed:              11,
 		CorruptConnEvery:  1, // every connection's responses are armed
 		CorruptAfterBytes: 2048,
 		CorruptBytes:      16,
 	}
-	corrLink.SetFaults(wireFaults)
-	defer corrLink.SetFaults(nil)
+	corrNode.link.SetFaults(wireFaults)
+	defer corrNode.link.SetFaults(nil)
 
 	retries := telemetry.Default().Counter("rpc.client.retries")
 	fallbacks := telemetry.Default().Counter("core.client.fallbacks")
@@ -138,12 +97,7 @@ func (e *Env) CorruptExperiment(array string) (*stats.Table, error) {
 	wireCorrupt := telemetry.Default().Counter("core.client.corrupt.wire")
 	r0, f0, s0, w0 := retries.Value(), fallbacks.Value(), serverCorrupt.Value(), wireCorrupt.Value()
 
-	ct := core.DialFaultTolerant(corrLn.Addr().String(), corrLink.Dial, rpc.ReconnectOptions{
-		MaxAttempts:    8,
-		InitialBackoff: time.Millisecond,
-		MaxBackoff:     20 * time.Millisecond,
-		Seed:           11,
-	})
+	ct := corrNode.dialFaultTolerant(faultTolerant)
 	// Small configurations take few enough reads per sweep that one round
 	// may not rotate through every injection class; repeat (the injector
 	// keeps counting across rounds) until storage has fired all three
@@ -153,17 +107,13 @@ func (e *Env) CorruptExperiment(array string) (*stats.Table, error) {
 	var cs objstore.CorruptStats
 	rounds := 0
 	for rounds < maxRounds {
-		rt, got, _, serr := sweep(ct)
+		rt, _, serr := e.sweep(ct, array, sameAsTruth(want))
 		if serr != nil {
 			ct.Close()
 			return nil, serr
 		}
 		corrTime += rt
 		rounds++
-		if err := sameAsTruth(got, want); err != nil {
-			ct.Close()
-			return nil, err
-		}
 		cs = cfs.Stats()
 		if cs.Bitflips > 0 && cs.ZeroPages > 0 && cs.Truncations > 0 &&
 			wireFaults.Stats().Corruptions > 0 {
@@ -171,7 +121,7 @@ func (e *Env) CorruptExperiment(array string) (*stats.Table, error) {
 		}
 	}
 	ct.Close()
-	corrLink.SetFaults(nil)
+	corrNode.link.SetFaults(nil)
 	cs = cfs.Stats()
 	ws := wireFaults.Stats()
 	if cs.Bitflips == 0 || cs.ZeroPages == 0 || cs.Truncations == 0 || ws.Corruptions == 0 {
@@ -196,40 +146,23 @@ func (e *Env) CorruptExperiment(array string) (*stats.Table, error) {
 		Every:       2,
 		MinReadSize: 8192,
 	})
-	hygLink := netsim.NewLink(e.Cfg.LinkBits, e.Cfg.LinkLatency)
-	hygSrv := core.NewServer(hfs, core.WithCacheBytes(e.Cfg.CacheBytes))
-	hygLn, err := net.Listen("tcp", "127.0.0.1:0")
+	hygNode, err := e.startNode(hfs, netsim.NewLink(e.Cfg.LinkBits, e.Cfg.LinkLatency),
+		core.WithCacheBytes(e.Cfg.CacheBytes))
 	if err != nil {
 		return nil, err
 	}
-	go hygSrv.Serve(hygLink.Listener(hygLn))
-	defer hygSrv.Close()
-	hc := core.DialFaultTolerant(hygLn.Addr().String(), hygLink.Dial, rpc.ReconnectOptions{
-		MaxAttempts:    8,
-		InitialBackoff: time.Millisecond,
-		MaxBackoff:     20 * time.Millisecond,
-		Seed:           11,
-	})
-	_, cold, _, err := sweep(hc)
-	if err != nil {
+	defer hygNode.Close()
+	hc := hygNode.dialFaultTolerant(faultTolerant)
+	if _, _, err := e.sweep(hc, array, sameAsTruth(want)); err != nil {
 		hc.Close()
 		return nil, err
 	}
-	if err := sameAsTruth(cold, want); err != nil {
-		hc.Close()
-		return nil, err
-	}
-	warmStart := time.Now()
-	_, warm, _, err := sweep(hc)
-	warmTime := time.Since(warmStart)
+	warmTime, _, err := e.sweep(hc, array, sameAsTruth(want))
 	hc.Close()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("harness: warm-cache sweep: %w", err)
 	}
-	if err := sameAsTruth(warm, want); err != nil {
-		return nil, fmt.Errorf("harness: warm cache served corrupt bytes: %w", err)
-	}
-	if hygSrv.Cache().Len() == 0 {
+	if hygNode.srv.Cache().Len() == 0 {
 		return nil, fmt.Errorf("harness: cache-hygiene server cached nothing; the warm sweep proved nothing")
 	}
 
@@ -273,14 +206,12 @@ func (e *Env) CorruptExperiment(array string) (*stats.Table, error) {
 
 	// A server consulting the scrubber refuses the quarantined paths
 	// outright and keeps serving the clean sibling.
-	qsrv := core.NewServer(s3fs.New(e.local, Bucket), core.WithScrubber(sc))
-	qln, err := net.Listen("tcp", "127.0.0.1:0")
+	qNode, err := e.startNode(nil, nil, core.WithScrubber(sc))
 	if err != nil {
 		return nil, err
 	}
-	go qsrv.Serve(qln)
-	defer qsrv.Close()
-	qc, err := core.Dial(qln.Addr().String(), nil)
+	defer qNode.Close()
+	qc, err := qNode.dial()
 	if err != nil {
 		return nil, err
 	}

@@ -4,14 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net"
 	"sync"
 	"time"
 
 	"vizndp/internal/compress"
 	"vizndp/internal/core"
 	"vizndp/internal/rpc"
-	"vizndp/internal/s3fs"
 	"vizndp/internal/stats"
 	"vizndp/internal/telemetry"
 )
@@ -53,27 +51,18 @@ func (e *Env) CrowdExperiment(array string) (*stats.Table, error) {
 	mCoalesced := telemetry.Default().Counter("core.scan.coalesced")
 	mPCHits := telemetry.Default().Counter("core.payloadcache.hits")
 
-	startServer := func(opts ...core.ServerOption) (*core.Server, string, error) {
-		srv := core.NewServer(s3fs.New(e.local, Bucket), opts...)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, "", err
-		}
-		go srv.Serve(e.Link.Listener(ln))
-		return srv, ln.Addr().String(), nil
-	}
 	admission := []core.ServerOption{
 		core.WithCacheBytes(e.Cfg.CacheBytes),
 		core.WithMaxInFlight(32), core.WithQueue(64),
 	}
 
 	// Round 1: sequential ground truth from an unbounded server.
-	truthSrv, truthAddr, err := startServer()
+	truthNode, err := e.startNode(nil, e.Link)
 	if err != nil {
 		return nil, err
 	}
-	defer truthSrv.Close()
-	truth, err := core.Dial(truthAddr, e.Link.Dial)
+	defer truthNode.Close()
+	truth, err := truthNode.dial()
 	if err != nil {
 		return nil, err
 	}
@@ -92,24 +81,24 @@ func (e *Env) CrowdExperiment(array string) (*stats.Table, error) {
 		served, shed, mismatched int
 		lats                     []float64
 	}
-	// runCrowd fires the open-loop arrival schedule at addr: arrival k
+	// runCrowd fires the open-loop arrival schedule at n: arrival k
 	// sleeps until its slot (k/arrivals into the ramp), issues one fetch
 	// over a pooled connection, and classifies the outcome. Arrival times
 	// are fixed up front — a slow or shed request delays nobody.
-	runCrowd := func(addr string) (*crowdResult, error) {
-		conns := make([]*core.Client, numConns)
-		for i := range conns {
-			c, err := core.Dial(addr, e.Link.Dial)
-			if err != nil {
-				return nil, err
-			}
-			conns[i] = c
-		}
+	runCrowd := func(n *node) (*crowdResult, error) {
+		conns := make([]*core.Client, 0, numConns)
 		defer func() {
 			for _, c := range conns {
 				c.Close()
 			}
 		}()
+		for len(conns) < numConns {
+			c, err := n.dial()
+			if err != nil {
+				return nil, err
+			}
+			conns = append(conns, c)
+		}
 		res := &crowdResult{}
 		var mu sync.Mutex
 		var firstErr error
@@ -159,13 +148,13 @@ func (e *Env) CrowdExperiment(array string) (*stats.Table, error) {
 	}
 
 	// Round 2: the crowd against admission control, uncoalesced.
-	plainSrv, plainAddr, err := startServer(admission...)
+	plainNode, err := e.startNode(nil, e.Link, admission...)
 	if err != nil {
 		return nil, err
 	}
-	defer plainSrv.Close()
+	defer plainNode.Close()
 	req0, pass0 := mRequests.Value(), mPasses.Value()
-	plain, err := runCrowd(plainAddr)
+	plain, err := runCrowd(plainNode)
 	if err != nil {
 		return nil, err
 	}
@@ -177,18 +166,18 @@ func (e *Env) CrowdExperiment(array string) (*stats.Table, error) {
 	plainSPR := float64(plainPasses) / float64(plainReqs)
 
 	// Round 3: the same crowd with scan coalescing and the payload cache.
-	coalSrv, coalAddr, err := startServer(append(admission,
+	coalNode, err := e.startNode(nil, e.Link, append(admission,
 		core.WithCoalesce(2*time.Millisecond),
 		core.WithPayloadCacheBytes(64<<20))...)
 	if err != nil {
 		return nil, err
 	}
-	defer coalSrv.Close()
+	defer coalNode.Close()
 	rec := telemetry.DefaultFlightRecorder()
 	seq0 := rec.Seq()
 	req0, pass0 = mRequests.Value(), mPasses.Value()
 	coal0, hit0 := mCoalesced.Value(), mPCHits.Value()
-	shared, err := runCrowd(coalAddr)
+	shared, err := runCrowd(coalNode)
 	if err != nil {
 		return nil, err
 	}
@@ -211,35 +200,33 @@ func (e *Env) CrowdExperiment(array string) (*stats.Table, error) {
 
 	// Counter/wide-event reconciliation: every coalesced request and every
 	// payload-cache hit must appear as an attributed server-side fetch
-	// event in the flight ring, and vice versa. The server finishes its
-	// wide event just after writing the response, so give the last
-	// in-flight recordings a beat to land before reading the ring.
-	time.Sleep(50 * time.Millisecond)
-	var evFollowers, evHits int64
-	for _, ev := range rec.Events(telemetry.EventFilter{Method: core.MethodFetch, SinceSeq: seq0}) {
-		if ev.Kind != telemetry.KindServer {
-			continue
+	// event in the flight ring, and vice versa.
+	if err := settle(func() error {
+		var evFollowers, evHits int64
+		for _, ev := range rec.Events(telemetry.EventFilter{Method: core.MethodFetch, SinceSeq: seq0}) {
+			if ev.Kind != telemetry.KindServer {
+				continue
+			}
+			if v, ok := ev.Attrs["coalesced-scan"].(string); ok && v == "follower" {
+				evFollowers++
+			}
+			if v, ok := ev.Attrs["payloadcache"].(string); ok && v == "hit" {
+				evHits++
+			}
 		}
-		if v, ok := ev.Attrs["coalesced-scan"].(string); ok && v == "follower" {
-			evFollowers++
+		if evFollowers != coalN {
+			return fmt.Errorf("harness: core.scan.coalesced=%d but flight ring has %d follower events",
+				coalN, evFollowers)
 		}
-		if v, ok := ev.Attrs["payloadcache"].(string); ok && v == "hit" {
-			evHits++
+		if evHits != hitN {
+			return fmt.Errorf("harness: payload cache hits=%d but flight ring has %d hit events",
+				hitN, evHits)
 		}
-	}
-	if evFollowers != coalN {
-		return nil, fmt.Errorf("harness: core.scan.coalesced=%d but flight ring has %d follower events",
-			coalN, evFollowers)
-	}
-	if evHits != hitN {
-		return nil, fmt.Errorf("harness: payload cache hits=%d but flight ring has %d hit events",
-			hitN, evHits)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
-	pcts := func(lats []float64) (string, string) {
-		return fmt.Sprintf("%.1fms", stats.Percentile(lats, 0.50)),
-			fmt.Sprintf("%.1fms", stats.Percentile(lats, 0.99))
-	}
 	plainP50, plainP99 := pcts(plain.lats)
 	coalP50, coalP99 := pcts(shared.lats)
 	t := stats.NewTable(

@@ -2,14 +2,10 @@ package harness
 
 import (
 	"fmt"
-	"net"
 	"time"
 
 	"vizndp/internal/compress"
-	"vizndp/internal/core"
 	"vizndp/internal/netsim"
-	"vizndp/internal/rpc"
-	"vizndp/internal/s3fs"
 	"vizndp/internal/stats"
 	"vizndp/internal/telemetry"
 )
@@ -37,60 +33,31 @@ func (e *Env) FaultsExperiment(array string) (*stats.Table, error) {
 
 	// Dedicated link and server so injected faults cannot leak into the
 	// environment's shared data path.
-	link := netsim.NewLink(e.Cfg.LinkBits, e.Cfg.LinkLatency)
-	srv := core.NewServer(s3fs.New(e.local, Bucket))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	n, err := e.startNode(nil, netsim.NewLink(e.Cfg.LinkBits, e.Cfg.LinkLatency))
 	if err != nil {
 		return nil, err
 	}
-	go srv.Serve(link.Listener(ln))
-	defer srv.Close()
-	addr := ln.Addr().String()
+	defer n.Close()
 
 	retries := telemetry.Default().Counter("rpc.client.retries")
 	reconnects := telemetry.Default().Counter("rpc.client.reconnects")
 	fallbacks := telemetry.Default().Counter("core.client.fallbacks")
-
-	type fetchID struct {
-		step int
-		iso  float64
-	}
-	// sweep fetches every (timestep, contour value) pair once, returning
-	// the elapsed time, each payload's bytes, the largest payload, and how
-	// many fetches were served degraded.
-	sweep := func(c *core.Client) (time.Duration, map[fetchID]string, int, int, error) {
-		payloads := make(map[fetchID]string)
-		maxPayload, degraded := 0, 0
-		start := time.Now()
-		for _, step := range e.steps {
-			key := ObjectKey(dataset, codec, step)
-			for _, iso := range e.Cfg.ContourValues {
-				p, st, err := c.FetchFiltered(key, array, []float64{iso}, e.Cfg.Encoding)
-				if err != nil {
-					return 0, nil, 0, 0, fmt.Errorf("harness: step %d iso %g: %w", step, iso, err)
-				}
-				payloads[fetchID{step, iso}] = string(p.Data)
-				if w := p.WireSize(); w > maxPayload {
-					maxPayload = w
-				}
-				if st.Degraded {
-					degraded++
-				}
-			}
-		}
-		return time.Since(start), payloads, maxPayload, degraded, nil
-	}
 	nFetches := len(e.steps) * len(e.Cfg.ContourValues)
 
 	// Run 1: clean ground truth over the not-yet-faulty link.
-	clean, err := core.Dial(addr, link.Dial)
+	clean, err := n.dial()
 	if err != nil {
 		return nil, err
 	}
-	cleanTime, want, maxPayload, _, err := sweep(clean)
+	want := make(map[fetchID]string, nFetches)
+	cleanTime, _, err := e.sweep(clean, array, truthInto(want))
 	clean.Close()
 	if err != nil {
 		return nil, err
+	}
+	maxPayload := 0
+	for _, p := range want {
+		maxPayload = max(maxPayload, len(p))
 	}
 
 	// Run 2: the same sweep under the fault schedule. Budgets are sized
@@ -109,14 +76,9 @@ func (e *Env) FaultsExperiment(array string) (*stats.Table, error) {
 		SpikeEvery:      5,
 		SpikeLatency:    time.Millisecond,
 	}
-	link.SetFaults(faults)
+	n.link.SetFaults(faults)
 	r0, c0, f0 := retries.Value(), reconnects.Value(), fallbacks.Value()
-	ft := core.DialFaultTolerant(addr, link.Dial, rpc.ReconnectOptions{
-		MaxAttempts:    8,
-		InitialBackoff: time.Millisecond,
-		MaxBackoff:     20 * time.Millisecond,
-		Seed:           11,
-	})
+	ft := n.dialFaultTolerant(faultTolerant)
 	// Small configurations move too few bytes in one sweep to exhaust a
 	// connection budget, so repeat the sweep (faults keep accumulating
 	// across rounds) until every class has fired, verifying every round.
@@ -125,62 +87,37 @@ func (e *Env) FaultsExperiment(array string) (*stats.Table, error) {
 	var fs netsim.FaultStats
 	rounds, ftDegraded := 0, 0
 	for rounds < maxRounds {
-		rt, got, _, dgr, serr := sweep(ft)
+		rt, dgr, serr := e.sweep(ft, array, sameAsTruth(want))
 		if serr != nil {
 			ft.Close()
-			link.SetFaults(nil)
+			n.link.SetFaults(nil)
 			return nil, serr
 		}
 		faultTime += rt
 		ftDegraded += dgr
 		rounds++
-		for id, p := range want {
-			if got[id] != p {
-				ft.Close()
-				link.SetFaults(nil)
-				return nil, fmt.Errorf("harness: faulted payload differs at step %d iso %g",
-					id.step, id.iso)
-			}
-		}
 		fs = faults.Stats()
 		if fs.DialsRefused > 0 && fs.ConnsKilled > 0 && fs.FramesTruncated > 0 && fs.LatencySpikes > 0 {
 			break
 		}
 	}
 	ft.Close()
-	link.SetFaults(nil)
+	n.link.SetFaults(nil)
 	fr, fc, ff := retries.Value()-r0, reconnects.Value()-c0, fallbacks.Value()-f0
 	if fs.DialsRefused == 0 || fs.ConnsKilled == 0 || fs.FramesTruncated == 0 || fs.LatencySpikes == 0 {
 		return nil, fmt.Errorf("harness: fault schedule left a class uninjected after %d sweeps: %s",
 			rounds, fs)
 	}
 
-	// Run 3: force graceful degradation. The first (and only armed)
-	// connection dies almost immediately; the client may not retry Fetch,
-	// so it must fall back to Describe + FetchRaw + a local pre-filter on
-	// the replacement connection.
-	retryable := core.RetryableMethods()
-	retryable[core.MethodFetch] = false
-	link.SetFaults(&netsim.Faults{
-		Seed:           11,
-		KillConnEvery:  1 << 30, // only the first connection is armed
-		KillAfterBytes: 128,
-	})
-	defer link.SetFaults(nil)
-	deg := core.DialFaultTolerant(addr, link.Dial, rpc.ReconnectOptions{
-		MaxAttempts:    4,
-		InitialBackoff: time.Millisecond,
-		MaxBackoff:     20 * time.Millisecond,
-		Retryable:      retryable,
-		Seed:           11,
-	})
+	// Run 3: force graceful degradation on the replacement connection.
+	deg := n.dialDegraded()
+	defer n.link.SetFaults(nil)
 	defer deg.Close()
 	r0, c0, f0 = retries.Value(), reconnects.Value(), fallbacks.Value()
-	step := e.steps[len(e.steps)/2]
-	iso := e.Cfg.ContourValues[0]
+	id := fetchID{e.steps[len(e.steps)/2], e.Cfg.ContourValues[0]}
 	degStart := time.Now()
-	p, st, err := deg.FetchFiltered(ObjectKey(dataset, codec, step), array,
-		[]float64{iso}, e.Cfg.Encoding)
+	p, st, err := deg.FetchFiltered(ObjectKey(dataset, codec, id.step), array,
+		[]float64{id.iso}, e.Cfg.Encoding)
 	if err != nil {
 		return nil, err
 	}
@@ -188,8 +125,8 @@ func (e *Env) FaultsExperiment(array string) (*stats.Table, error) {
 	if !st.Degraded {
 		return nil, fmt.Errorf("harness: no-retry fetch was not served degraded")
 	}
-	if string(p.Data) != want[fetchID{step, iso}] {
-		return nil, fmt.Errorf("harness: degraded payload differs from clean run")
+	if err := sameAsTruth(want)(id, p); err != nil {
+		return nil, fmt.Errorf("harness: degraded fetch: %w", err)
 	}
 	dr, dc, df := retries.Value()-r0, reconnects.Value()-c0, fallbacks.Value()-f0
 

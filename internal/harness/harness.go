@@ -21,7 +21,6 @@ package harness
 import (
 	"bytes"
 	"fmt"
-	"net"
 	"time"
 
 	"vizndp/internal/compress"
@@ -115,9 +114,8 @@ type Env struct {
 	storeAddr   string
 	local       *objstore.Client // storage-node-local (unshaped)
 	remote      *objstore.Client // client-node view (shaped)
-	ndpServer   *core.Server
+	ndp         *node
 	ndpClient   *core.Client
-	ndpAddr     string
 	steps       []int
 	nyxDS       *grid.Dataset // kept for in-memory analyses (Fig. 12)
 	asteroidSet map[int]*grid.Dataset
@@ -174,15 +172,11 @@ func NewEnv(cfg Config) (*Env, error) {
 
 	// NDP server on the storage node, reading through a node-local s3fs
 	// mount of the object store.
-	e.ndpServer = core.NewServer(s3fs.New(e.local, Bucket))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	if e.ndp, err = e.startNode(nil, e.Link); err != nil {
 		e.Close()
 		return nil, err
 	}
-	e.ndpAddr = ln.Addr().String()
-	go e.ndpServer.Serve(e.Link.Listener(ln))
-	client, err := core.Dial(e.ndpAddr, e.Link.Dial)
+	client, err := e.ndp.dial()
 	if err != nil {
 		e.Close()
 		return nil, err
@@ -249,8 +243,8 @@ func (e *Env) Close() {
 	if e.ndpClient != nil {
 		e.ndpClient.Close()
 	}
-	if e.ndpServer != nil {
-		e.ndpServer.Close()
+	if e.ndp != nil {
+		e.ndp.Close()
 	}
 	if e.storeClose != nil {
 		e.storeClose()

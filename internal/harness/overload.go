@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,7 +10,6 @@ import (
 	"vizndp/internal/compress"
 	"vizndp/internal/core"
 	"vizndp/internal/rpc"
-	"vizndp/internal/s3fs"
 	"vizndp/internal/stats"
 	"vizndp/internal/telemetry"
 )
@@ -43,16 +41,7 @@ func (e *Env) OverloadExperiment(array string) (*stats.Table, error) {
 	const minBurst = 48
 	codec := compress.None
 
-	type fetchID struct {
-		step int
-		iso  float64
-	}
-	var uniq []fetchID
-	for _, step := range e.steps {
-		for _, iso := range e.Cfg.ContourValues {
-			uniq = append(uniq, fetchID{step, iso})
-		}
-	}
+	uniq := e.sweepIDs()
 	// Repeat the unique sweep until the burst is large enough to
 	// saturate an undersized server even in -quick configurations.
 	var burst []fetchID
@@ -64,27 +53,10 @@ func (e *Env) OverloadExperiment(array string) (*stats.Table, error) {
 	failovers := telemetry.Default().Counter("core.pool.failovers")
 	trips := telemetry.Default().Counter("core.pool.breaker.open")
 
-	// startReplica launches a dedicated core server over the node-local
-	// store; bound replicas admit only maxInFlight+queue requests.
-	startReplica := func(opts ...core.ServerOption) (*core.Server, string, error) {
-		srv := core.NewServer(s3fs.New(e.local, Bucket), opts...)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, "", err
-		}
-		go srv.Serve(ln)
-		return srv, ln.Addr().String(), nil
-	}
+	// Every replica is a dedicated server over the node-local store on
+	// unshaped loopback; bound replicas admit only maxInFlight+queue
+	// requests.
 	bounded := []core.ServerOption{core.WithMaxInFlight(2), core.WithQueue(2)}
-
-	fetchOne := func(c *core.Client, id fetchID) (string, error) {
-		key := ObjectKey(dataset, codec, id.step)
-		p, _, err := c.FetchFiltered(key, array, []float64{id.iso}, e.Cfg.Encoding)
-		if err != nil {
-			return "", fmt.Errorf("harness: step %d iso %g: %w", id.step, id.iso, err)
-		}
-		return string(p.Data), nil
-	}
 
 	// runBurst drives the burst with `concurrency` workers, verifies
 	// every payload against want, and fires hook (once) after hookAfter
@@ -106,14 +78,15 @@ func (e *Env) OverloadExperiment(array string) (*stats.Table, error) {
 					}
 					id := burst[i]
 					start := time.Now()
-					got, err := fetchOne(c, id)
+					p, _, err := c.FetchFiltered(ObjectKey(dataset, codec, id.step), array,
+						[]float64{id.iso}, e.Cfg.Encoding)
 					if err != nil {
-						errs <- err
+						errs <- fmt.Errorf("harness: step %d iso %g: %w", id.step, id.iso, err)
 						return
 					}
 					lats[i] = float64(time.Since(start)) / float64(time.Millisecond)
-					if got != want[id] {
-						errs <- fmt.Errorf("harness: payload differs at step %d iso %g", id.step, id.iso)
+					if err := sameAsTruth(want)(id, p); err != nil {
+						errs <- err
 						return
 					}
 					if hook != nil && int(done.Add(1)) >= hookAfter {
@@ -130,33 +103,24 @@ func (e *Env) OverloadExperiment(array string) (*stats.Table, error) {
 		}
 		return lats, nil
 	}
-	pcts := func(lats []float64) (string, string) {
-		return fmt.Sprintf("%.1fms", stats.Percentile(lats, 0.50)),
-			fmt.Sprintf("%.1fms", stats.Percentile(lats, 0.99))
-	}
 	poolOpts := PoolOverloadOptions()
 
 	// Run 1: sequential ground truth on an unbounded server.
-	truthSrv, truthAddr, err := startReplica()
+	truth, err := e.startNode(nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer truthSrv.Close()
-	clean, err := core.Dial(truthAddr, nil)
+	defer truth.Close()
+	clean, err := truth.dial()
 	if err != nil {
 		return nil, err
 	}
 	want := make(map[fetchID]string, len(uniq))
-	cleanStart := time.Now()
-	for _, id := range uniq {
-		p, err := fetchOne(clean, id)
-		if err != nil {
-			clean.Close()
-			return nil, err
-		}
-		want[id] = p
+	cleanTime, _, err := e.sweep(clean, array, truthInto(want))
+	if err != nil {
+		clean.Close()
+		return nil, err
 	}
-	cleanTime := time.Since(cleanStart)
 
 	// Run 2: the burst with no admission control, as the baseline.
 	baseLats, err := runBurst(clean, want, 0, nil)
@@ -167,19 +131,20 @@ func (e *Env) OverloadExperiment(array string) (*stats.Table, error) {
 
 	// Run 3: undersized two-replica pool, one replica killed a third of
 	// the way through the burst.
-	srvA, addrA, err := startReplica(bounded...)
+	replA, err := e.startNode(nil, nil, bounded...)
 	if err != nil {
 		return nil, err
 	}
-	defer srvA.Close()
-	srvB, addrB, err := startReplica(bounded...)
+	defer replA.Close()
+	replB, err := e.startNode(nil, nil, bounded...)
 	if err != nil {
 		return nil, err
 	}
-	defer srvB.Close()
+	defer replB.Close()
 	s0, f0, t0 := shed.Value(), failovers.Value(), trips.Value()
-	poolClient, _ := core.DialPool([]string{addrA, addrB}, nil, poolOpts)
-	shedLats, err := runBurst(poolClient, want, len(burst)/3, func() { srvB.Close() })
+	addrs, dial := route(replA, replB)
+	poolClient, _ := core.DialPool(addrs, dial, poolOpts)
+	shedLats, err := runBurst(poolClient, want, len(burst)/3, replB.Close)
 	poolClient.Close()
 	if err != nil {
 		return nil, err
@@ -197,13 +162,14 @@ func (e *Env) OverloadExperiment(array string) (*stats.Table, error) {
 	// Run 4: gracefully drain the primary mid-burst. The drain must
 	// finish clean — zero accepted requests lost — while the burst
 	// completes on the survivor.
-	srvC, addrC, err := startReplica(bounded...)
+	replC, err := e.startNode(nil, nil, bounded...)
 	if err != nil {
 		return nil, err
 	}
-	defer srvC.Close()
+	defer replC.Close()
 	drainErr := make(chan error, 1)
-	drainClient, _ := core.DialPool([]string{addrC, addrA}, nil, poolOpts)
+	addrs, dial = route(replC, replA)
+	drainClient, _ := core.DialPool(addrs, dial, poolOpts)
 	s0 = shed.Value()
 	drainLats, err := runBurst(drainClient, want, len(burst)/3, func() {
 		// vizlint:ignore goroleak drainErr is buffered (cap 1) and received exactly once after the burst
@@ -211,7 +177,7 @@ func (e *Env) OverloadExperiment(array string) (*stats.Table, error) {
 			// vizlint:ignore ctxflow drain root: shutdown must finish even though the burst ctx is gone; bounded by its own 30s timeout
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			drainErr <- srvC.Shutdown(ctx)
+			drainErr <- replC.srv.Shutdown(ctx)
 		}()
 	})
 	drainClient.Close()

@@ -2,12 +2,10 @@ package harness
 
 import (
 	"fmt"
-	"net"
 	"time"
 
 	"vizndp/internal/compress"
 	"vizndp/internal/core"
-	"vizndp/internal/s3fs"
 	"vizndp/internal/stats"
 	"vizndp/internal/telemetry"
 )
@@ -22,14 +20,12 @@ import (
 // Cold and warm payloads are checked bit-identical against the uncached
 // shared server before any row is reported.
 func (e *Env) RepeatFetch(dataset string, codec compress.Kind, step int, array string) (*stats.Table, error) {
-	srv := core.NewServer(s3fs.New(e.local, Bucket), core.WithCacheBytes(e.Cfg.CacheBytes))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	n, err := e.startNode(nil, e.Link, core.WithCacheBytes(e.Cfg.CacheBytes))
 	if err != nil {
 		return nil, err
 	}
-	go srv.Serve(e.Link.Listener(ln))
-	defer srv.Close()
-	client, err := core.Dial(ln.Addr().String(), e.Link.Dial)
+	defer n.Close()
+	client, err := n.dial()
 	if err != nil {
 		return nil, err
 	}
@@ -52,7 +48,7 @@ func (e *Env) RepeatFetch(dataset string, codec compress.Kind, step int, array s
 		var payloadBytes int64
 		for r := 0; r < e.Cfg.Repeats; r++ {
 			// Cold: an empty cache forces the full read+decompress path.
-			srv.Cache().Reset()
+			n.srv.Cache().Reset()
 			start := time.Now()
 			cp, cst, err := client.FetchFiltered(key, array, isos, e.Cfg.Encoding)
 			if err != nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"net"
 	"runtime"
 	"time"
 
@@ -12,8 +11,6 @@ import (
 	"vizndp/internal/core"
 	"vizndp/internal/grid"
 	"vizndp/internal/netsim"
-	"vizndp/internal/rpc"
-	"vizndp/internal/s3fs"
 	"vizndp/internal/stats"
 	"vizndp/internal/telemetry"
 	"vizndp/internal/vtkio"
@@ -78,25 +75,6 @@ func (e *Env) populateBricks(dataset string, codec compress.Kind) (*vtkio.Manife
 	return man, nil
 }
 
-// shardNode is one in-process storage shard: its own shaped link and NDP
-// server over the shared object store.
-type shardNode struct {
-	link *netsim.Link
-	srv  *core.Server
-	addr string
-}
-
-func (e *Env) startShardNode(name string) (*shardNode, error) {
-	link := netsim.NewLink(e.Cfg.LinkBits, e.Cfg.LinkLatency)
-	srv := core.NewServer(s3fs.New(e.local, Bucket), core.WithShardName(name))
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	go srv.Serve(link.Listener(ln))
-	return &shardNode{link: link, srv: srv, addr: ln.Addr().String()}, nil
-}
-
 // ShardExperiment evaluates brick-sharded scatter-gather pre-filtering
 // against the single-node NDP path:
 //
@@ -131,77 +109,45 @@ func (e *Env) ShardExperiment(array string) (*stats.Table, error) {
 		return nil, err
 	}
 
-	// Dedicated single-node path for the baseline, mirroring the sharded
-	// topology's per-node link so the comparison is 1 link vs 3 links.
-	base, err := e.startShardNode("")
+	// Every node — the 1-node baseline and each shard — is an NDP server
+	// over the shared store behind its own shaped link, so the comparison
+	// is 1 link vs 3 links.
+	base, err := e.startNode(nil, netsim.NewLink(e.Cfg.LinkBits, e.Cfg.LinkLatency), core.WithShardName(""))
 	if err != nil {
 		return nil, err
 	}
-	defer base.srv.Close()
-
-	type fetchID struct {
-		step int
-		iso  float64
-	}
+	defer base.Close()
 	nFetches := len(e.steps) * len(e.Cfg.ContourValues)
 
 	// Baseline sweep: reconstructed ground-truth arrays + 1-node time.
 	truth := make(map[fetchID][]float32, nFetches)
-	clean, err := core.Dial(base.addr, base.link.Dial)
+	clean, err := base.dial()
 	if err != nil {
 		return nil, err
 	}
-	baseStart := time.Now()
-	for _, step := range e.steps {
-		key := ObjectKey(dataset, codec, step)
-		for _, iso := range e.Cfg.ContourValues {
-			p, _, err := clean.FetchFiltered(key, array, []float64{iso}, e.Cfg.Encoding)
-			if err != nil {
-				clean.Close()
-				return nil, fmt.Errorf("harness: baseline step %d iso %g: %w", step, iso, err)
-			}
-			arr, err := p.Reconstruct()
-			if err != nil {
-				clean.Close()
-				return nil, err
-			}
-			truth[fetchID{step, iso}] = arr
-		}
-	}
-	baseTime := time.Since(baseStart)
+	baseTime, _, err := e.sweep(clean, array, func(id fetchID, p *core.Payload) error {
+		arr, err := p.Reconstruct()
+		truth[id] = arr
+		return err
+	})
 	clean.Close()
+	if err != nil {
+		return nil, fmt.Errorf("harness: baseline: %w", err)
+	}
 
-	// Three shard nodes over the shared store, each behind its own link.
-	nodes := make([]*shardNode, shardCount)
-	links := make(map[string]*netsim.Link, shardCount)
-	addrs := make([]string, shardCount)
+	nodes := make([]*node, shardCount)
 	for i := range nodes {
-		n, err := e.startShardNode(fmt.Sprintf("shard%d", i))
+		n, err := e.startNode(nil, netsim.NewLink(e.Cfg.LinkBits, e.Cfg.LinkLatency),
+			core.WithShardName(fmt.Sprintf("shard%d", i)))
 		if err != nil {
 			return nil, err
 		}
-		defer n.srv.Close()
+		defer n.Close()
 		nodes[i] = n
-		links[n.addr] = n.link
-		addrs[i] = n.addr
 	}
-	dialFn := func(network, addr string) (net.Conn, error) {
-		if l, ok := links[addr]; ok {
-			return l.Dial(network, addr)
-		}
-		return net.Dial(network, addr)
-	}
-	poolOpts := core.PoolOptions{
-		Reconnect: rpc.ReconnectOptions{
-			MaxAttempts:    64,
-			InitialBackoff: time.Millisecond,
-			MaxBackoff:     50 * time.Millisecond,
-			CallTimeout:    10 * time.Second,
-			Seed:           11,
-		},
-		BreakerThreshold: 2,
-		BreakerCooldown:  75 * time.Millisecond,
-	}
+	addrs, dialFn := route(nodes...)
+	poolOpts := PoolOverloadOptions()
+	poolOpts.Reconnect.MaxAttempts = 64
 
 	identical := func(got []float32, want []float32) bool {
 		if len(got) != len(want) {
@@ -214,10 +160,23 @@ func (e *Env) ShardExperiment(array string) (*stats.Table, error) {
 		}
 		return true
 	}
+	// fetchMerged scatter-gathers one sweep fetch through sc and checks
+	// the merge against the 1-node truth.
+	fetchMerged := func(sc *core.ShardedClient, id fetchID) (*core.ShardStats, error) {
+		arr, st, err := sc.FetchArray(shardPrefix(dataset, codec, id.step), array,
+			[]float64{id.iso}, e.Cfg.Encoding)
+		if err != nil {
+			return nil, fmt.Errorf("harness: step %d iso %g: %w", id.step, id.iso, err)
+		}
+		if !identical(arr, truth[id]) {
+			return nil, fmt.Errorf("harness: merge differs from 1 node at step %d iso %g", id.step, id.iso)
+		}
+		return st, nil
+	}
 
 	// Phase 2: clean sharded sweep. The manifest travels the same wire as
 	// the data: fetched once from the first shard via the manifest RPC.
-	first, err := core.Dial(addrs[0], dialFn)
+	first, err := nodes[0].dial()
 	if err != nil {
 		return nil, err
 	}
@@ -236,20 +195,13 @@ func (e *Env) ShardExperiment(array string) (*stats.Table, error) {
 	}
 	var dupPoints int
 	shardStart := time.Now()
-	for _, step := range e.steps {
-		prefix := shardPrefix(dataset, codec, step)
-		for _, iso := range e.Cfg.ContourValues {
-			arr, st, err := sc.FetchArray(prefix, array, []float64{iso}, e.Cfg.Encoding)
-			if err != nil {
-				sc.Close()
-				return nil, fmt.Errorf("harness: sharded step %d iso %g: %w", step, iso, err)
-			}
-			if !identical(arr, truth[fetchID{step, iso}]) {
-				sc.Close()
-				return nil, fmt.Errorf("harness: sharded merge differs at step %d iso %g", step, iso)
-			}
-			dupPoints += st.DupPoints
+	for _, id := range e.sweepIDs() {
+		st, err := fetchMerged(sc, id)
+		if err != nil {
+			sc.Close()
+			return nil, fmt.Errorf("harness: sharded sweep: %w", err)
 		}
+		dupPoints += st.DupPoints
 	}
 	shardTime := time.Since(shardStart)
 	sc.Close()
@@ -270,30 +222,24 @@ func (e *Env) ShardExperiment(array string) (*stats.Table, error) {
 	// local pre-filter — while the other shards stay healthy.
 	fallbacks := telemetry.Default().Counter("core.client.fallbacks")
 	shardDegraded := telemetry.Default().Counter("core.shard.degraded")
-	retryable := core.RetryableMethods()
-	retryable[core.MethodFetch] = false
-	nodes[1].link.SetFaults(&netsim.Faults{
-		Seed:           11,
-		KillConnEvery:  1 << 30, // only the first connection is armed
-		KillAfterBytes: 128,
-	})
-	shards := make([]*core.Client, shardCount)
+	// Closing twice is a no-op, so this only matters when a dial or the
+	// sharded client below fails before dsc owns the shard clients.
+	shards := make([]*core.Client, 0, shardCount)
+	defer func() {
+		for _, c := range shards {
+			c.Close()
+		}
+	}()
 	for i, n := range nodes {
 		if i == 1 {
-			shards[i] = core.DialFaultTolerant(n.addr, dialFn, rpc.ReconnectOptions{
-				MaxAttempts:    4,
-				InitialBackoff: time.Millisecond,
-				MaxBackoff:     20 * time.Millisecond,
-				Retryable:      retryable,
-				Seed:           11,
-			})
+			shards = append(shards, n.dialDegraded())
 			continue
 		}
-		c, err := core.Dial(n.addr, dialFn)
+		c, err := n.dial()
 		if err != nil {
 			return nil, err
 		}
-		shards[i] = c
+		shards = append(shards, c)
 	}
 	dsc, err := core.NewShardedClient(gotMan, shards)
 	if err != nil {
@@ -335,22 +281,14 @@ func (e *Env) ShardExperiment(array string) (*stats.Table, error) {
 	p0, b0 := failovers.Value(), breakerOpens.Value()
 	killed := false
 	killStart := time.Now()
-	for _, step := range e.steps {
-		prefix := shardPrefix(dataset, codec, step)
-		for _, iso := range e.Cfg.ContourValues {
-			arr, _, err := ksc.FetchArray(prefix, array, []float64{iso}, e.Cfg.Encoding)
-			if err != nil {
-				ksc.Close()
-				return nil, fmt.Errorf("harness: post-kill step %d iso %g: %w", step, iso, err)
-			}
-			if !identical(arr, truth[fetchID{step, iso}]) {
-				ksc.Close()
-				return nil, fmt.Errorf("harness: post-kill merge differs at step %d iso %g", step, iso)
-			}
-			if !killed {
-				nodes[1].srv.Close()
-				killed = true
-			}
+	for _, id := range e.sweepIDs() {
+		if _, err := fetchMerged(ksc, id); err != nil {
+			ksc.Close()
+			return nil, fmt.Errorf("harness: post-kill sweep: %w", err)
+		}
+		if !killed {
+			nodes[1].Close()
+			killed = true
 		}
 	}
 	killTime := time.Since(killStart)
@@ -358,16 +296,9 @@ func (e *Env) ShardExperiment(array string) (*stats.Table, error) {
 	// the threshold-2 breaker to see consecutive failures; pad with
 	// repeats of the first fetch so the dead replica is probed enough.
 	for extra := nFetches - 1; extra < 4; extra++ {
-		prefix := shardPrefix(dataset, codec, e.steps[0])
-		iso := e.Cfg.ContourValues[0]
-		arr, _, err := ksc.FetchArray(prefix, array, []float64{iso}, e.Cfg.Encoding)
-		if err != nil {
+		if _, err := fetchMerged(ksc, e.sweepIDs()[0]); err != nil {
 			ksc.Close()
 			return nil, fmt.Errorf("harness: post-kill probe %d: %w", extra, err)
-		}
-		if !identical(arr, truth[fetchID{e.steps[0], iso}]) {
-			ksc.Close()
-			return nil, fmt.Errorf("harness: post-kill probe merge differs")
 		}
 	}
 	ksc.Close()

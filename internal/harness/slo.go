@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,8 +14,6 @@ import (
 	"vizndp/internal/compress"
 	"vizndp/internal/core"
 	"vizndp/internal/netsim"
-	"vizndp/internal/rpc"
-	"vizndp/internal/s3fs"
 	"vizndp/internal/stats"
 	"vizndp/internal/telemetry"
 )
@@ -67,23 +64,14 @@ func (e *Env) SLOExperiment(array string) (*stats.Table, error) {
 		burst = append(burst, uniq...)
 	}
 
-	startReplica := func(opts ...core.ServerOption) (*core.Server, string, error) {
-		srv := core.NewServer(s3fs.New(e.local, Bucket), opts...)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, "", err
-		}
-		go srv.Serve(ln)
-		return srv, ln.Addr().String(), nil
-	}
-
-	// Phase 1: ground truth and the clean latency scale.
-	truthSrv, truthAddr, err := startReplica()
+	// Phase 1: ground truth and the clean latency scale, on unshaped
+	// loopback like every phase but the degraded one.
+	truth, err := e.startNode(nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer truthSrv.Close()
-	clean, err := core.Dial(truthAddr, nil)
+	defer truth.Close()
+	clean, err := truth.dial()
 	if err != nil {
 		return nil, err
 	}
@@ -157,22 +145,15 @@ func (e *Env) SLOExperiment(array string) (*stats.Table, error) {
 	// a barrier cannot all fit, so the burst's opening salvo alone must
 	// shed — and the queueing pushes served latencies past the
 	// 2x-clean-median objective, producing latency breaches too.
-	srvA, addrA, err := startReplica(core.WithMaxInFlight(1), core.WithQueue(1))
+	replica, err := e.startNode(nil, nil, core.WithMaxInFlight(1), core.WithQueue(1))
 	if err != nil {
 		return nil, err
 	}
-	defer srvA.Close()
-	poolClient, _ := core.DialPool([]string{addrA}, nil, core.PoolOptions{
-		Reconnect: rpc.ReconnectOptions{
-			MaxAttempts:    256,
-			InitialBackoff: 2 * time.Millisecond,
-			MaxBackoff:     50 * time.Millisecond,
-			CallTimeout:    10 * time.Second,
-			Seed:           11,
-		},
-		BreakerThreshold: 2,
-		BreakerCooldown:  75 * time.Millisecond,
-	})
+	defer replica.Close()
+	poolOpts := PoolOverloadOptions()
+	poolOpts.Reconnect.InitialBackoff = 2 * time.Millisecond
+	addrs, dial := route(replica)
+	poolClient, _ := core.DialPool(addrs, dial, poolOpts)
 
 	burstLats := make([]float64, len(burst))
 	var next atomic.Int64
@@ -219,33 +200,14 @@ func (e *Env) SLOExperiment(array string) (*stats.Table, error) {
 	default:
 	}
 
-	// Phase 3: force one degraded fetch — the first connection dies
-	// mid-frame and Fetch may not retry, so the client must fall back to
-	// FetchRaw + a local pre-filter.
-	link := netsim.NewLink(e.Cfg.LinkBits, e.Cfg.LinkLatency)
-	degSrv, degAddr := core.NewServer(s3fs.New(e.local, Bucket)), ""
-	dln, err := net.Listen("tcp", "127.0.0.1:0")
+	// Phase 3: force one degraded fetch through a dedicated shaped link.
+	degNode, err := e.startNode(nil, netsim.NewLink(e.Cfg.LinkBits, e.Cfg.LinkLatency))
 	if err != nil {
 		return nil, err
 	}
-	go degSrv.Serve(link.Listener(dln))
-	defer degSrv.Close()
-	degAddr = dln.Addr().String()
-	retryable := core.RetryableMethods()
-	retryable[core.MethodFetch] = false
-	link.SetFaults(&netsim.Faults{
-		Seed:           11,
-		KillConnEvery:  1 << 30, // only the first connection is armed
-		KillAfterBytes: 128,
-	})
-	defer link.SetFaults(nil)
-	deg := core.DialFaultTolerant(degAddr, link.Dial, rpc.ReconnectOptions{
-		MaxAttempts:    4,
-		InitialBackoff: time.Millisecond,
-		MaxBackoff:     20 * time.Millisecond,
-		Retryable:      retryable,
-		Seed:           11,
-	})
+	defer degNode.Close()
+	deg := degNode.dialDegraded()
+	defer degNode.link.SetFaults(nil)
 	defer deg.Close()
 	degStep := e.steps[len(e.steps)/2]
 	p, st, err := deg.FetchFiltered(ObjectKey(dataset, codec, degStep), array,
@@ -260,17 +222,12 @@ func (e *Env) SLOExperiment(array string) (*stats.Table, error) {
 		return nil, fmt.Errorf("harness: degraded payload differs from clean run")
 	}
 
-	// Reconcile events against counters. Server events finish just after
-	// the response frame is written, so the client can observe completion
-	// marginally before the recorder does — poll until the books balance.
-	shedN := shedCtr.Value() - shed0
-	fallbackN := fallbackCtr.Value() - fallback0
-	var shedEvents, degradedEvents, breachedEvents int
-	deadline := time.Now().Add(3 * time.Second)
-	for {
+	// Reconcile events against counters once the books balance.
+	var shedN, fallbackN int64
+	if err := settle(func() error {
 		shedN = shedCtr.Value() - shed0
 		fallbackN = fallbackCtr.Value() - fallback0
-		shedEvents, degradedEvents, breachedEvents = 0, 0, 0
+		var shedEvents, degradedEvents, breachedEvents int64
 		for _, ev := range rec.Events(telemetry.EventFilter{SinceSeq: seq0}) {
 			if ev.Kind == telemetry.KindServer && ev.Method == core.MethodFetch && ev.Shed {
 				shedEvents++
@@ -282,17 +239,15 @@ func (e *Env) SLOExperiment(array string) (*stats.Table, error) {
 				breachedEvents++
 			}
 		}
-		if int64(shedEvents) == shedN && int64(degradedEvents) == fallbackN &&
-			int64(breachedEvents) == breachCtr.Value()-breach0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("harness: wide events do not reconcile with counters: "+
+		if shedEvents != shedN || degradedEvents != fallbackN || breachedEvents != breachCtr.Value()-breach0 {
+			return fmt.Errorf("harness: wide events do not reconcile with counters: "+
 				"shed events %d vs counter %d, degraded events %d vs fallbacks %d, breached events %d vs breaches %d",
 				shedEvents, shedN, degradedEvents, fallbackN,
 				breachedEvents, breachCtr.Value()-breach0)
 		}
-		time.Sleep(10 * time.Millisecond)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	if rec.Seq()-seq0 > uint64(rec.Capacity()) {
 		return nil, fmt.Errorf("harness: flight ring wrapped (%d events > capacity %d); reconciliation would be partial",
@@ -384,7 +339,7 @@ func (e *Env) SLOExperiment(array string) (*stats.Table, error) {
 	}
 	rec.SetSLO(monitor2)
 	rec.SetBundles(bundles2)
-	truthClient, err := core.Dial(truthAddr, nil)
+	truthClient, err := truth.dial()
 	if err != nil {
 		return nil, err
 	}
@@ -399,18 +354,13 @@ func (e *Env) SLOExperiment(array string) (*stats.Table, error) {
 	truthClient.Close()
 	// Written() counts admitted bundles before their file lands, so poll
 	// for the file itself, not the counter.
-	breachDeadline := time.Now().Add(3 * time.Second)
 	var bundle *telemetry.DebugBundle
-	for {
+	if err := settle(func() (err error) {
 		bundle, err = readOneBundle(breachDir)
-		if err == nil {
-			break
-		}
-		if time.Now().After(breachDeadline) {
-			return nil, fmt.Errorf("harness: directed breach wrote no bundle (admitted %d): %w",
-				bundles2.Written(), err)
-		}
-		time.Sleep(10 * time.Millisecond)
+		return err
+	}); err != nil {
+		return nil, fmt.Errorf("harness: directed breach wrote no bundle (admitted %d): %w",
+			bundles2.Written(), err)
 	}
 	if bundle.Trigger.Method != core.MethodFetchRaw || !bundle.Trigger.Breached {
 		return nil, fmt.Errorf("harness: breach bundle trigger is %s (breached=%v), want breached %s",
@@ -448,9 +398,8 @@ func (e *Env) SLOExperiment(array string) (*stats.Table, error) {
 		"phase", "fetches", "p50", "p99", "shed", "breached", "degraded", "bundles")
 	t.AddRow("clean sweep", fmt.Sprintf("%d", len(uniq)),
 		fmt.Sprintf("%.1fms", cleanP50), "", "0", "0", "0", "")
-	t.AddRow("slo burst", fmt.Sprintf("%d", len(burst)),
-		fmt.Sprintf("%.1fms", stats.Percentile(burstLats, 0.50)),
-		fmt.Sprintf("%.1fms", stats.Percentile(burstLats, 0.99)),
+	burstP50, burstP99 := pcts(burstLats)
+	t.AddRow("slo burst", fmt.Sprintf("%d", len(burst)), burstP50, burstP99,
 		fmt.Sprintf("%d", shedN), fmt.Sprintf("%d", breachN), "0",
 		fmt.Sprintf("%d", burstBundles))
 	t.AddRow("forced fallback", "1", "", "", "0", "", fmt.Sprintf("%d", fallbackN), "")
@@ -473,14 +422,12 @@ func (e *Env) SLOExperiment(array string) (*stats.Table, error) {
 // vulnerable to scheduler noise, and the claim is about the recorder's
 // cost, not the machine's mood.
 func (e *Env) measureRecorderOverhead(array, dataset string, codec compress.Kind, rec *telemetry.FlightRecorder) (overhead, onP50, offP50 float64, err error) {
-	srv := core.NewServer(s3fs.New(e.local, Bucket), core.WithCacheBytes(256<<20))
-	ln, lerr := net.Listen("tcp", "127.0.0.1:0")
-	if lerr != nil {
-		return 0, 0, 0, lerr
+	n, serr := e.startNode(nil, nil, core.WithCacheBytes(256<<20))
+	if serr != nil {
+		return 0, 0, 0, serr
 	}
-	go srv.Serve(ln)
-	defer srv.Close()
-	client, derr := core.Dial(ln.Addr().String(), nil)
+	defer n.Close()
+	client, derr := n.dial()
 	if derr != nil {
 		return 0, 0, 0, derr
 	}

@@ -2,6 +2,7 @@ package vtkio
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"vizndp/internal/compress"
@@ -54,6 +55,55 @@ func FuzzOpenReader(f *testing.F) {
 			}
 			// Errors are expected on corrupt blocks; panics are not.
 			_, _ = r.ReadArrayBytes(a.Name)
+		}
+	})
+}
+
+// FuzzDecodeManifest feeds arbitrary documents to DecodeManifest. A
+// manifest is read from the object store with no checksum of its own,
+// so garbage must be rejected with an error, never a panic, and any
+// manifest it accepts must survive EncodeManifest → DecodeManifest
+// unchanged.
+func FuzzDecodeManifest(f *testing.F) {
+	for _, c := range []struct {
+		g      *grid.Uniform
+		spec   grid.BrickSpec
+		arrays []string
+		shards int
+	}{
+		{manifestGrid(), grid.BrickSpec{NX: 3, NY: 2, NZ: 1, Ghost: 1}, []string{"v02", "v03"}, 3},
+		{grid.NewUniform(24, 24, 24), grid.BrickSpec{NX: 3, NY: 1, NZ: 1, Ghost: 1}, []string{"v03"}, 0},
+		{grid.NewUniform(9, 7, 1), grid.BrickSpec{NX: 2, NY: 2, NZ: 1}, nil, 2},
+	} {
+		m, err := BuildManifest(c.g, c.spec, c.arrays, c.shards)
+		if err != nil {
+			f.Fatal(err)
+		}
+		m.Entries[0].Checksum = 0xdeadbeef
+		data, err := EncodeManifest(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"magic":"vnd-bricks","version":1}`))
+	f.Add([]byte(`[]`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := DecodeManifest(data)
+		if err != nil {
+			return
+		}
+		enc, err := EncodeManifest(m)
+		if err != nil {
+			t.Fatalf("accepted manifest does not re-encode: %v", err)
+		}
+		got, err := DecodeManifest(enc)
+		if err != nil {
+			t.Fatalf("re-encoded manifest does not decode: %v\n%s", err, enc)
+		}
+		if !reflect.DeepEqual(got, m) {
+			t.Fatalf("round trip changed the manifest:\n got %+v\nwant %+v", got, m)
 		}
 	})
 }

@@ -136,6 +136,18 @@ func (m *Manifest) Validate() error {
 	if err := g.Validate(); err != nil {
 		return fmt.Errorf("vtkio: manifest grid: %w", err)
 	}
+	// Check the brick count against the entries before deriving any
+	// bricks, so a hostile count costs an error, not an allocation.
+	count := 1
+	for _, n := range m.Bricks {
+		if n < 1 {
+			break // Bricks reports the bad axis
+		}
+		if n > len(m.Entries)/count {
+			return fmt.Errorf("vtkio: manifest has %d entries, bricking %v derives more", len(m.Entries), m.Bricks)
+		}
+		count *= n
+	}
 	want, err := m.Spec().Bricks(g.Dims)
 	if err != nil {
 		return fmt.Errorf("vtkio: manifest bricking: %w", err)

@@ -92,6 +92,12 @@ func TestManifestValidateRejects(t *testing.T) {
 		{"duplicate key", func(m *Manifest) { m.Entries[1].Key = m.Entries[0].Key }, "duplicates"},
 		{"bad shard", func(m *Manifest) { m.Entries[0].Shard = -2 }, "shard"},
 		{"bad grid", func(m *Manifest) { m.Dims = [3]int{0, 0, 0} }, "grid"},
+		// A brick count no entry list could match must be rejected before
+		// the bricks are derived: deriving these would need petabytes.
+		{"hostile brick count", func(m *Manifest) {
+			m.Dims = [3]int{1 << 50, 2, 2}
+			m.Bricks = [3]int{1 << 49, 1, 1}
+		}, "entries"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
